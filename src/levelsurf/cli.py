@@ -8,7 +8,9 @@ conditioning  angle/conditioning table over a list of sphere shifts z_c
 refmatrix     PCG iteration counts on the block-tridiagonal reference matrix
 massbound     mass-matrix conditioning sweep (scaled vs unscaled)
 
-Exit codes: 0 success, 2 acceptance-band violation, 1 operational error.
+Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
+whose effective condition number did not converge, 1 operational error
+(including a solver failure outside that row).
 Every run writes ``config.json`` (the resolved configuration) next to its
 outputs; reruns with identical inputs produce byte-identical files.
 """
@@ -306,6 +308,7 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
     mesh = build_uniform_mesh(args.box, args.h)
     rng = np.random.default_rng(args.seed)
     rows = []
+    unconverged = []
     for zc in args.zc_list:
         spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=args.radius)
         field = snap_small_values(interpolate_nodal(spec, mesh))
@@ -321,6 +324,7 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
             cond_as = effective_cond(As, kernel).cond
         except EigNonConvergence:
             cond_as = float("nan")
+            unconverged.append(zc)
         v = rng.standard_normal(As.shape[0])
         v /= np.linalg.norm(v)
         # Plain ILU(0) for the (semidefinite) surface systems: the
@@ -341,7 +345,10 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
     lsio.write_csv(os.path.join(out, "conditioning.csv"),
                    CONDITIONING_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {os.path.join(out, 'conditioning.csv')}")
-    return 0
+    for zc in unconverged:
+        print(f"cond_As_eff did not converge at z_c = {lsio.fmt(zc)} "
+              f"(written as nan)", file=sys.stderr)
+    return 2 if unconverged else 0
 
 
 def cmd_refmatrix(args: argparse.Namespace) -> int:
@@ -415,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EigNonConvergence, ZeroPivotError) as exc:
+        # np.linalg.LinAlgError is a ValueError, so it ends here too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

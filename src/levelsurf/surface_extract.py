@@ -167,6 +167,31 @@ class SurfaceMesh:
         return int(ncomp)
 
 
+def _cube_reduce(op, corner_vals: np.ndarray) -> np.ndarray:
+    """Reduce a (nz+1, ny+1, nx+1) node array over the 8 corners of each cube."""
+    a = op(corner_vals[:, :, :-1], corner_vals[:, :, 1:])
+    a = op(a[:, :-1], a[:, 1:])
+    return op(a[:-1], a[1:])
+
+
+def _candidate_tets(mesh: TetMesh, vals: np.ndarray):
+    """Ids and node ids, (k,) and (k, 4), of the tets the zero set may cut.
+
+    On a Kuhn lattice these are the 6 tets of every cube whose 8 corners
+    are neither all positive nor all negative (a narrow band around the
+    surface), in increasing id order; ``tets`` is never built.  An explicit
+    mesh offers all of its tets.
+    """
+    if not mesh.is_kuhn_lattice:
+        return np.arange(mesh.n_tets, dtype=np.int64), mesh.tets
+    nx, ny, nz = mesh.n_cells
+    pos = (vals > 0.0).reshape(nz + 1, ny + 1, nx + 1)
+    mixed = _cube_reduce(np.logical_or, pos) & ~_cube_reduce(np.logical_and, pos)
+    cubes = np.flatnonzero(mixed)
+    tet_ids = (6 * cubes[:, None] + np.arange(6)).ravel()
+    return tet_ids, mesh.cube_tets(cubes)
+
+
 def _cut_polygons(mesh: TetMesh, field: NodalField):
     """Classify cut tets and list their cut edges in cyclic polygon order."""
     if field.mesh is not mesh and field.mesh.n_nodes != mesh.n_nodes:
@@ -177,22 +202,21 @@ def _cut_polygons(mesh: TetMesh, field: NodalField):
             "field has exact nodal zeros; apply snap_small_values first"
         )
 
-    tv = vals[mesh.tets]
-    pos = tv > 0.0
+    tet_ids, tet_nodes = _candidate_tets(mesh, vals)
+    pos = vals[tet_nodes] > 0.0
     npos = pos.sum(axis=1)
 
     tri_mask = (npos == 1) | (npos == 3)
-    quad_mask = npos == 2
-    tri_tets = np.flatnonzero(tri_mask)
-    quad_tets = np.flatnonzero(quad_mask)
+    tri_rows = np.flatnonzero(tri_mask)
+    quad_rows = np.flatnonzero(npos == 2)
 
     # triangles: lone-sign vertex against the other three
-    tp = pos[tri_tets]
+    tp = pos[tri_rows]
     lone_is_pos = npos[tri_mask] == 1
     lone = np.where(lone_is_pos, tp.argmax(axis=1), (~tp).argmax(axis=1))
     others = np.argsort(np.arange(4)[None, :] == lone[:, None], axis=1, kind="stable")[:, :3]
     others = np.sort(others, axis=1)
-    g = mesh.tets[tri_tets]
+    g = tet_nodes[tri_rows]
     tri_edges = np.stack(
         [
             np.stack([np.take_along_axis(g, lone[:, None], 1)[:, 0],
@@ -204,10 +228,10 @@ def _cut_polygons(mesh: TetMesh, field: NodalField):
 
     # quads: cut edges pair each positive with each negative node; the cyclic
     # order (p1n1, p1n2, p2n2, p2n1) makes consecutive corners share a face
-    qp = pos[quad_tets]
+    qp = pos[quad_rows]
     pidx = np.argsort(~qp, axis=1, kind="stable")[:, :2]
     nidx = np.argsort(qp, axis=1, kind="stable")[:, :2]
-    gq = mesh.tets[quad_tets]
+    gq = tet_nodes[quad_rows]
     take = lambda idx: np.take_along_axis(gq, idx, 1)
     p1, p2 = take(pidx[:, [0]])[:, 0], take(pidx[:, [1]])[:, 0]
     n1, n2 = take(nidx[:, [0]])[:, 0], take(nidx[:, [1]])[:, 0]
@@ -221,13 +245,14 @@ def _cut_polygons(mesh: TetMesh, field: NodalField):
         axis=1,
     )  # (Nq, 4, 2)
 
-    return tri_tets, tri_edges, quad_tets, quad_edges
+    return tet_ids[tri_rows], tri_edges, tet_ids[quad_rows], quad_edges
 
 
 def _tet_gradients(mesh: TetMesh, vals: np.ndarray, tet_ids: np.ndarray) -> np.ndarray:
     """Constant gradient of the P1 interpolant on the given tets."""
-    p = mesh.nodes[mesh.tets[tet_ids]]
-    f = vals[mesh.tets[tet_ids]]
+    tet_nodes = mesh.tet_nodes(tet_ids)
+    p = mesh.nodes[tet_nodes]
+    f = vals[tet_nodes]
     E = p[:, 1:] - p[:, :1]
     rhs = f[:, 1:] - f[:, :1]
     return np.linalg.solve(E, rhs[..., None])[..., 0]
@@ -319,7 +344,7 @@ def plane_residuals(mesh: TetMesh, field: NodalField, raw: RawSurface) -> np.nda
         if not len(polys):
             continue
         g = _tet_gradients(mesh, vals, parent)
-        base = mesh.tets[parent][:, 0]
+        base = mesh.tet_nodes(parent)[:, 0]
         x0 = mesh.nodes[base]
         f0 = vals[base]
         p = raw.vertices.points[polys]

@@ -10,7 +10,7 @@ minimum angle over face angles and edge-to-opposite-face angles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,15 @@ class BoxDomain:
         return float(np.prod(self.extents))
 
 
-@dataclass
 class TetMesh:
     """Conforming tetrahedral mesh of a box.
+
+    A mesh is either explicit, ``TetMesh(nodes, tets, h, box)``, or the Kuhn
+    lattice of ``n_cells`` grid cubes, ``TetMesh(nodes, None, h, box,
+    n_cells)`` as built by :func:`build_uniform_mesh`.  A lattice mesh
+    stores no tet array: tet ``6 * cube + pattern`` is Kuhn tet ``pattern``
+    of grid cube ``cube`` (cubes numbered x fastest, like the nodes), and
+    ``tets`` is only built on first access.
 
     Attributes
     ----------
@@ -95,21 +101,43 @@ class TetMesh:
         Number of grid cubes per axis.
     """
 
-    nodes: np.ndarray
-    tets: np.ndarray
-    h: float
-    box: BoxDomain
-    n_cells: tuple[int, int, int] = field(default=(0, 0, 0))
-
-    def __post_init__(self):
-        self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
-        self.tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+    def __init__(self, nodes: np.ndarray, tets: np.ndarray | None, h: float,
+                 box: BoxDomain, n_cells: tuple[int, int, int] = (0, 0, 0)):
+        self.nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+        self.h = h
+        self.box = box
+        self.n_cells = tuple(int(v) for v in n_cells)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise ValueError("nodes must be (N, 3)")
-        if self.tets.ndim != 2 or self.tets.shape[1] != 4:
+        self._tets = None
+        self._lattice = tets is None
+        if self._lattice:
+            nx, ny, nz = self.n_cells
+            if min(self.n_cells) < 1 or len(self.nodes) != (nx + 1) * (ny + 1) * (nz + 1):
+                raise ValueError("a lattice mesh needs n_cells >= 1 and "
+                                 "(nx+1)(ny+1)(nz+1) nodes")
+        else:
+            self._set_tets(tets)
+
+    def _set_tets(self, tets) -> None:
+        tets = np.ascontiguousarray(tets, dtype=np.int64)
+        if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be (M, 4)")
-        if self.tets.size and (self.tets.min() < 0 or self.tets.max() >= len(self.nodes)):
+        if tets.size and (tets.min() < 0 or tets.max() >= len(self.nodes)):
             raise ValueError("tet indices out of range")
+        self._tets = tets
+
+    @property
+    def is_kuhn_lattice(self) -> bool:
+        """True for a lattice mesh, whether or not ``tets`` was built yet."""
+        return self._lattice
+
+    @property
+    def tets(self) -> np.ndarray:
+        if self._tets is None:
+            nx, ny, nz = self.n_cells
+            self._set_tets(self.cube_tets(np.arange(nx * ny * nz)))
+        return self._tets
 
     @property
     def n_nodes(self) -> int:
@@ -117,7 +145,42 @@ class TetMesh:
 
     @property
     def n_tets(self) -> int:
-        return len(self.tets)
+        if self._lattice:
+            nx, ny, nz = self.n_cells
+            return 6 * nx * ny * nz
+        return len(self._tets)
+
+    def _cube_base(self, cubes: np.ndarray) -> np.ndarray:
+        """Node id of the lowest corner of each lattice cube."""
+        nx, ny, _ = self.n_cells
+        ci, cj, ck = cubes % nx, (cubes // nx) % ny, cubes // (nx * ny)
+        return ci + (nx + 1) * (cj + (ny + 1) * ck)
+
+    def _kuhn_offsets(self) -> np.ndarray:
+        """Node-id offsets of the 6 Kuhn tets from their cube's lowest corner."""
+        nx, ny, _ = self.n_cells
+        corner = _CORNER_OFFSETS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+        return corner[_KUHN_TETS]
+
+    def cube_tets(self, cubes: np.ndarray) -> np.ndarray:
+        """Node ids of the 6 Kuhn tets of each lattice cube, (6 * len, 4).
+
+        Rows run cube by cube, then by pattern, so row ``6 * i + p`` is tet
+        ``6 * cubes[i] + p``.
+        """
+        if not self._lattice:
+            raise ValueError("cube_tets needs a Kuhn lattice mesh")
+        cubes = np.asarray(cubes, dtype=np.int64)
+        return (self._cube_base(cubes)[:, None, None]
+                + self._kuhn_offsets()).reshape(-1, 4)
+
+    def tet_nodes(self, tet_ids: np.ndarray) -> np.ndarray:
+        """Node ids of the given tets, (len, 4), without building ``tets``."""
+        tet_ids = np.asarray(tet_ids, dtype=np.int64)
+        if not self._lattice:
+            return self._tets[tet_ids]
+        return (self._cube_base(tet_ids // 6)[:, None]
+                + self._kuhn_offsets()[tet_ids % 6])
 
     def tet_coords(self) -> np.ndarray:
         """Vertex coordinates per tet, shape (M, 4, 3)."""
@@ -139,7 +202,8 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
 
     Every grid cube is split into 6 tetrahedra sharing the cube diagonal from
     its lowest to its highest corner; all cubes use the same diagonal
-    direction so shared faces coincide and the mesh is conforming.
+    direction so shared faces coincide and the mesh is conforming.  The
+    mesh stores only its nodes; the 6 n^3 tets are implicit in ``n_cells``.
 
     Parameters
     ----------
@@ -169,26 +233,7 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    # cube lattice indices, x fastest as well
-    ck, cj, ci = np.meshgrid(
-        np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"
-    )
-    ci = ci.ravel()
-    cj = cj.ravel()
-    ck = ck.ravel()
-
-    def node_id(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    # (n_cubes, 8) node ids of cube corners
-    corners = np.stack(
-        [node_id(ci + dx, cj + dy, ck + dz) for dx, dy, dz in _CORNER_OFFSETS],
-        axis=1,
-    )
-    # (n_cubes, 6, 4) -> (6 * n_cubes, 4), cube-major then pattern order
-    tets = corners[:, _KUHN_TETS].reshape(-1, 4)
-
-    return TetMesh(nodes=nodes, tets=tets, h=float(h), box=box,
+    return TetMesh(nodes=nodes, tets=None, h=float(h), box=box,
                    n_cells=(nx, ny, nz))
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from levelsurf import cli
 from levelsurf.cli import (
     CONDITIONING_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -13,6 +14,7 @@ from levelsurf.cli import (
     _order,
     main,
 )
+from levelsurf.sparse_linalg import EigNonConvergence, ZeroPivotError
 
 
 def read_csv(path):
@@ -47,6 +49,22 @@ def test_operational_error_exits_1(tmp_path, capsys):
     code = main(["extract", "--h", "0.3", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    EigNonConvergence("lambda_max estimate not converged"),
+    ZeroPivotError(3),
+    np.linalg.LinAlgError("not positive definite"),
+])
+def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "spd_cond", fail)
+    code = main(["massbound", "--h-list", "0.5,0.25", "--out",
+                 str(tmp_path / "o")])
+    assert code == 1
+    assert f"error: {exc}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +190,29 @@ def test_conditioning_table(tmp_path):
         assert float(r[9]) > 1.0                  # cond_Ms
         assert float(r[10]) > 1.0                 # cond_As_eff
         assert int(r[11]) >= 1                    # pcg_iters
+
+
+def test_conditioning_unconverged_row_exits_2(tmp_path, capsys, monkeypatch):
+    real = cli.effective_cond
+    calls = []
+
+    def fail_second_row(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise EigNonConvergence("lambda_max estimate not converged")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "effective_cond", fail_second_row)
+    out = tmp_path / "o"
+    code = main(["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03",
+                 "--out", str(out)])
+    assert code == 2
+    assert "did not converge at z_c = 0.03" in capsys.readouterr().err
+    header, rows = read_csv(out / "conditioning.csv")
+    assert header == CONDITIONING_COLUMNS
+    assert [float(r[0]) for r in rows] == [0.0, 0.03]
+    assert float(rows[0][10]) > 1.0
+    assert rows[1][10] == "nan"
 
 
 def test_conditioning_deterministic_rerun(tmp_path):

@@ -2,9 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from levelsurf.level_set import AnalyticLevelSet, NodalField, interpolate_nodal, snap_small_values
+from levelsurf.level_set import (
+    AnalyticLevelSet,
+    NodalField,
+    SphereLevelSet,
+    interpolate_nodal,
+    snap_small_values,
+)
 from levelsurf.surface_extract import (
     SurfaceMesh,
+    _candidate_tets,
     extract_raw,
     extract_surface,
     plane_residuals,
@@ -166,6 +173,64 @@ def test_sphere_cut_planarity(sphere_h4):
     raw = extract_raw(mesh, field)
     res = plane_residuals(mesh, field, raw)
     assert res.max() <= 1e-12 * mesh.h
+
+
+SURFACE_ARRAYS = ["vertices", "triangles", "vertex_edges", "vertex_t",
+                  "tri_parent", "tri_from_quad"]
+NARROW_BAND_FIELDS = {
+    "sphere_zc0.03": SphereLevelSet(center=(0.0, 0.0, 0.03)),
+    "sphere_zc0.00025": SphereLevelSet(center=(0.0, 0.0, 0.00025)),
+    "sphere_zc0": SphereLevelSet(center=(0.0, 0.0, 0.0)),
+    # crosses the box boundary, so boundary cubes are cut
+    "plane": AnalyticLevelSet(lambda p: p @ np.array([0.3, -0.7, 1.1]) + 0.1234),
+    "positive": AnalyticLevelSet(lambda p: 1.0 + (p * p).sum(axis=-1)),
+    "negative": AnalyticLevelSet(lambda p: -1.0 - (p * p).sum(axis=-1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_BAND_FIELDS))
+@pytest.mark.parametrize("h", [0.5, 0.25, 0.125, 0.0625])
+def test_narrow_band_matches_explicit_mesh(h, name):
+    # A lattice mesh cuts only the tets of sign-change cubes; an explicit
+    # mesh with the same tets offers every tet to the same extractor.
+    lattice = build_uniform_mesh(BOX, h)
+    field = snap_small_values(interpolate_nodal(NARROW_BAND_FIELDS[name], lattice))
+    surf = extract_surface(lattice, field)
+    raw = extract_raw(lattice, field)
+    assert lattice._tets is None           # tets were never materialized
+
+    explicit = TetMesh(lattice.nodes, lattice.tets, h=lattice.h, box=lattice.box)
+    assert lattice.is_kuhn_lattice and not explicit.is_kuhn_lattice
+    full_field = NodalField(mesh=explicit, values=field.values)
+    ref = extract_surface(explicit, full_field)
+    for key in SURFACE_ARRAYS:
+        npt.assert_array_equal(getattr(surf, key), getattr(ref, key), err_msg=key)
+    if name in ("positive", "negative"):
+        assert surf.n_triangles == 0
+    else:
+        assert surf.n_triangles > 0
+    npt.assert_array_equal(
+        plane_residuals(lattice, field, raw),
+        plane_residuals(explicit, full_field, extract_raw(explicit, full_field)),
+    )
+    # lattice.tets now exists; the lattice still offers only its band
+    ids, nodes = _candidate_tets(lattice, field.values)
+    assert len(ids) < lattice.n_tets
+    npt.assert_array_equal(nodes, lattice.tets[ids])
+
+
+@pytest.mark.parametrize("name", ["sphere_zc0.03", "plane"])
+def test_narrow_band_on_a_non_cubic_box(name):
+    box = BoxDomain((-2.0, -1.5, -1.25), (2.0, 1.5, 1.25))
+    lattice = build_uniform_mesh(box, 0.125)
+    assert lattice.n_cells == (32, 24, 20)
+    field = snap_small_values(interpolate_nodal(NARROW_BAND_FIELDS[name], lattice))
+    surf = extract_surface(lattice, field)
+    explicit = TetMesh(lattice.nodes, lattice.tets, h=lattice.h, box=box)
+    ref = extract_surface(explicit, NodalField(mesh=explicit, values=field.values))
+    assert surf.n_triangles > 0
+    for key in SURFACE_ARRAYS:
+        npt.assert_array_equal(getattr(surf, key), getattr(ref, key), err_msg=key)
 
 
 def test_quad_halves_adjacent_in_output(sphere_h4):

@@ -163,3 +163,46 @@ def test_main_diagonal_shared():
     mesh = unit_cube_mesh()
     for tet in mesh.tets:
         assert 0 in tet and 7 in tet
+
+
+def test_lattice_tets_match_per_cube_loop():
+    # Non-cubic grid (6 x 4 x 2 cubes) so that axis mix-ups show.
+    mesh = build_uniform_mesh(BoxDomain((0, 0, 0), (3, 2, 1)), 0.5)
+    nx, ny, nz = mesh.n_cells
+    assert (nx, ny, nz) == (6, 4, 2)
+    assert mesh.n_tets == 6 * nx * ny * nz
+    assert mesh._tets is None              # n_tets builds nothing
+
+    def node(i, j, k):
+        return i + (nx + 1) * (j + (ny + 1) * k)
+
+    kuhn = [[0, 1, 3, 7], [0, 5, 1, 7], [0, 3, 2, 7],
+            [0, 2, 6, 7], [0, 4, 5, 7], [0, 6, 4, 7]]
+    ref = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                corners = [node(i + dx, j + dy, k + dz)
+                           for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+                ref += [[corners[c] for c in tet] for tet in kuhn]
+    ids = np.array([0, 5, 6, 47, 100, mesh.n_tets - 1])
+    npt.assert_array_equal(mesh.tet_nodes(ids), np.array(ref)[ids])
+    assert mesh._tets is None
+    npt.assert_array_equal(mesh.tets, ref)
+    npt.assert_array_equal(mesh.tet_nodes(ids), mesh.tets[ids])
+    assert mesh.is_kuhn_lattice
+    npt.assert_array_equal(mesh.cube_tets([7]), ref[42:48])
+
+
+def test_lattice_mesh_validation():
+    nodes = np.zeros((8, 3))
+    box = BoxDomain((0, 0, 0), (1, 1, 1))
+    assert TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1)).n_tets == 6
+    with pytest.raises(ValueError):
+        TetMesh(nodes, None, h=1.0, box=box, n_cells=(2, 1, 1))
+    with pytest.raises(ValueError):
+        TetMesh(nodes, None, h=1.0, box=box)
+    with pytest.raises(ValueError):
+        regular_tet_mesh().cube_tets([0])
+    with pytest.raises(ValueError, match="out of range"):
+        TetMesh(nodes[:4], np.array([[0, 1, 2, 4]]), h=1.0, box=box)
