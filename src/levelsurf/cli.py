@@ -332,12 +332,13 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
         # non-positive pivots.  Jacobi is the fallback of last resort.
         try:
             _, stats = pcg(As, As @ v, tol=args.tol, precond="ilu0")
-            iters = stats.iterations
-        except (ZeroPivotError, np.linalg.LinAlgError):
+        except (ZeroPivotError, np.linalg.LinAlgError) as exc:
+            print(f"ILU(0)-PCG failed at z_c = {lsio.fmt(zc)} "
+                  f"({type(exc).__name__}: {exc}); "
+                  f"pcg_iters is from Jacobi-PCG", file=sys.stderr)
             _, stats = pcg(As, As @ v, tol=args.tol, precond="jacobi")
-            iters = stats.iterations
         rows.append(_quality_row(zc, report)
-                    + [As.shape[0], cond_ms, cond_as, iters])
+                    + [As.shape[0], cond_ms, cond_as, stats.iterations])
         if "mm" in getattr(args, "export", []):
             tag = lsio.fmt(zc)
             lsio.write_matrix_market(

@@ -215,6 +215,50 @@ def test_conditioning_unconverged_row_exits_2(tmp_path, capsys, monkeypatch):
     assert rows[1][10] == "nan"
 
 
+def test_conditioning_jacobi_fallback_is_reported(tmp_path, capsys,
+                                                  monkeypatch):
+    real = cli.pcg
+    calls = []
+
+    def fail_first_call(*args, **kwargs):
+        calls.append(kwargs["precond"])
+        if len(calls) == 1:
+            raise ZeroPivotError(7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pcg", fail_first_call)
+    out = tmp_path / "o"
+    code = main(["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03",
+                 "--out", str(out)])
+    assert code == 0
+    assert calls == ["ilu0", "jacobi", "ilu0"]
+    err = capsys.readouterr().err
+    assert ("ILU(0)-PCG failed at z_c = 0.0 (ZeroPivotError: ILU(0) breakdown: "
+            "zero pivot in row 7); pcg_iters is from Jacobi-PCG") in err
+    assert "z_c = 0.03" not in err
+    header, rows = read_csv(out / "conditioning.csv")
+    assert header == CONDITIONING_COLUMNS
+    assert all(int(r[11]) >= 1 for r in rows)
+
+
+def test_conditioning_gate_h8(tmp_path):
+    # PCG iteration counts must repeat exactly; the condition numbers may
+    # move only by rounding (LU ordering, order of the substitutions).
+    out = tmp_path / "o"
+    code = main(["conditioning", "--h", "0.125", "--zc-list",
+                 "0.03,0.0005,0", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "conditioning.csv")
+    assert [int(r[11]) for r in rows] == [130, 137, 78]
+    np.testing.assert_allclose(
+        [float(r[10]) for r in rows],
+        [4275.068255357686, 4962042.101812679, 2517035705.807006], rtol=1e-6)
+    np.testing.assert_allclose(
+        [float(r[9]) for r in rows],
+        [3.9680293450765123, 3.9556925637368723, 3.9558498183378363],
+        rtol=1e-9)
+
+
 def test_conditioning_deterministic_rerun(tmp_path):
     out = tmp_path / "o"
     args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.002",

@@ -1,11 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from levelsurf.sparse_linalg import (
     EigNonConvergence,
+    ILU0Preconditioner,
     ZeroPivotError,
     build_reference_matrix,
     effective_cond,
@@ -289,6 +291,25 @@ def test_milu0_indefinite_on_singular_stiffness(sphere_h4):
     v = rng.standard_normal(As.shape[0])
     with pytest.raises((ZeroPivotError, np.linalg.LinAlgError)):
         pcg(As, As @ v, precond="milu0")
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_ilu0_apply_matches_dense_triangular_solves(modified, sphere_h4):
+    rng = np.random.default_rng(6)
+    cases = [build_reference_matrix(10, 10), random_spd(rng, 90, 0.08)]
+    if not modified:
+        cases.append(diag_scale(assemble_stiffness(sphere_h4[1]))[0])
+    for A in cases:
+        P = ILU0Preconditioner(A, modified=modified)
+        r = rng.standard_normal(A.shape[0])
+        r_before = r.copy()
+        y = sla.solve_triangular(P.L.toarray(), r, lower=True,
+                                 unit_diagonal=True)
+        expected = sla.solve_triangular(P.U.toarray(), y)
+        z = P.apply(r)
+        npt.assert_allclose(z, expected, rtol=1e-12)
+        npt.assert_array_equal(P.apply(r), z)
+        npt.assert_array_equal(r, r_before)
 
 
 # ---------------------------------------------------------------------------
