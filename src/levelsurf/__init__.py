@@ -17,10 +17,8 @@ from .level_set import (
     NodalField,
     SphereLevelSet,
     SurfaceFunction,
-    closest_point,
     constant_function,
     coordinate_function,
-    extend_function,
     interpolate_nodal,
     product_arctan_function,
     snap_small_values,
@@ -93,14 +91,12 @@ __all__ = [
     "assumption_residuals",
     "build_reference_matrix",
     "build_uniform_mesh",
-    "closest_point",
     "constant_function",
     "coordinate_function",
     "diag_scale",
     "dirichlet_energy",
     "effective_cond",
     "eig_extreme",
-    "extend_function",
     "extract_raw",
     "extract_surface",
     "h1_semi_error",

@@ -73,6 +73,42 @@ def write_obj(path: str, vertices: np.ndarray, triangles: np.ndarray) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _vtk_file(path: str, title: str, dataset: str, points: np.ndarray,
+              cell_lines: list[str],
+              point_data: dict[str, np.ndarray] | None) -> None:
+    """Write a legacy ASCII VTK file: header, POINTS, cells, POINT_DATA.
+
+    ``cell_lines`` is the dataset's cell block as text lines; each
+    ``point_data`` array must have one value per point.
+    """
+    points = np.asarray(points, dtype=float)
+    nv = len(points)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        f"DATASET {dataset}",
+        f"POINTS {nv} double",
+    ]
+    for v in points:
+        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    lines.extend(cell_lines)
+    if point_data:
+        lines.append(f"POINT_DATA {nv}")
+        for name in sorted(point_data):
+            arr = np.asarray(point_data[name], dtype=float)
+            if arr.shape != (nv,):
+                raise ValueError(
+                    f"point_data[{name!r}] has shape {arr.shape}, "
+                    f"expected ({nv},)"
+                )
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(repr(float(x)) for x in arr)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_vtk_surface(path: str, vertices: np.ndarray, triangles: np.ndarray,
                       point_data: dict[str, np.ndarray] | None = None) -> None:
     """Write a triangle mesh as legacy ASCII VTK POLYDATA.
@@ -82,71 +118,27 @@ def write_vtk_surface(path: str, vertices: np.ndarray, triangles: np.ndarray,
     point_data : dict, optional
         Scalar arrays of length n_vertices, written as POINT_DATA fields.
     """
-    vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    nv, nt = len(vertices), len(triangles)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "levelsurf surface",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {nv} double",
-    ]
-    for v in vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    lines.append(f"POLYGONS {nt} {4 * nt}")
+    nt = len(triangles)
+    cells = [f"POLYGONS {nt} {4 * nt}"]
     for t in triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    if point_data:
-        lines.append(f"POINT_DATA {nv}")
-        for name in sorted(point_data):
-            arr = np.asarray(point_data[name], dtype=float)
-            if arr.shape != (nv,):
-                raise ValueError(
-                    f"point_data[{name!r}] has shape {arr.shape}, "
-                    f"expected ({nv},)"
-                )
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(repr(float(x)) for x in arr)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        cells.append(f"3 {t[0]} {t[1]} {t[2]}")
+    _vtk_file(path, "levelsurf surface", "POLYDATA", vertices, cells,
+              point_data)
 
 
 def write_vtk_tet_mesh(path: str, nodes: np.ndarray, tets: np.ndarray,
                        point_data: dict[str, np.ndarray] | None = None) -> None:
     """Write a tetrahedral mesh as legacy ASCII VTK UNSTRUCTURED_GRID."""
-    nodes = np.asarray(nodes, dtype=float)
     tets = np.asarray(tets, dtype=np.int64)
-    nv, nc = len(nodes), len(tets)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "levelsurf tet mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-    ]
-    for v in nodes:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    lines.append(f"CELLS {nc} {5 * nc}")
+    nc = len(tets)
+    cells = [f"CELLS {nc} {5 * nc}"]
     for t in tets:
-        lines.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
-    lines.append(f"CELL_TYPES {nc}")
-    lines.extend(["10"] * nc)
-    if point_data:
-        lines.append(f"POINT_DATA {nv}")
-        for name in sorted(point_data):
-            arr = np.asarray(point_data[name], dtype=float)
-            if arr.shape != (nv,):
-                raise ValueError(
-                    f"point_data[{name!r}] has shape {arr.shape}, "
-                    f"expected ({nv},)"
-                )
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(repr(float(x)) for x in arr)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        cells.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
+    cells.append(f"CELL_TYPES {nc}")
+    cells.extend(["10"] * nc)
+    _vtk_file(path, "levelsurf tet mesh", "UNSTRUCTURED_GRID", nodes, cells,
+              point_data)
 
 
 def write_matrix_market(path: str, A: sp.spmatrix) -> None:

@@ -4,7 +4,8 @@ A level-set spec evaluates phi on arbitrary points; its zero set is the
 surface of interest.  Interpolating phi at mesh nodes gives the piecewise
 linear field whose zero set the extractor triangulates.  Exact nodal zeros
 are snapped to a small positive value so every tet has a strict sign
-pattern.
+pattern.  A sphere spec also projects points onto its surface
+(``spec.closest_point``), which extends surface functions off the surface.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "SurfaceFunction",
     "interpolate_nodal",
     "snap_small_values",
-    "closest_point",
-    "extend_function",
     "product_arctan_function",
     "coordinate_function",
     "constant_function",
@@ -48,10 +47,6 @@ class SphereLevelSet:
 
     @property
     def supports_distance(self) -> bool:
-        return True
-
-    @property
-    def supports_closest_point(self) -> bool:
         return True
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -89,10 +84,6 @@ class AnalyticLevelSet:
     @property
     def supports_distance(self) -> bool:
         return self.distance is not None and self.normal_fn is not None
-
-    @property
-    def supports_closest_point(self) -> bool:
-        return False
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
@@ -166,16 +157,6 @@ def snap_small_values(field: NodalField, eps_snap: float | None = None) -> Nodal
         raise ValueError(f"eps_snap must be positive, got {eps_snap}")
     out = np.where(np.abs(v) < eps_snap, eps_snap, v)
     return NodalField(mesh=field.mesh, values=out)
-
-
-def closest_point(spec, points: np.ndarray) -> np.ndarray:
-    """Project points onto the zero surface of the spec (sphere only)."""
-    return spec.closest_point(points)
-
-
-def extend_function(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
-    """Evaluate the surface function at the projection of ambient points."""
-    return np.asarray(u.value(closest_point(spec, points)), dtype=float)
 
 
 def product_arctan_function() -> SurfaceFunction:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .surface_extract import SurfaceMesh
+from .tet_grid import corner_cross_dot
 
 __all__ = [
     "triangle_angles",
@@ -29,23 +30,18 @@ ANGLE_BINS = 36  # 5-degree histogram bins covering (0, 180)
 def triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Inner angles of each triangle in radians, shape (F, 3).
 
-    Uses atan2 of cross/dot, which stays accurate for angles near 0 and pi.
+    Uses atan2 of cross/dot (:func:`~levelsurf.tet_grid.corner_cross_dot`),
+    which stays accurate for angles near 0 and pi.
     Angles of each row sum to pi up to roundoff.  Zero-area triangles have
     no well-defined angles and raise.
     """
     p = np.asarray(vertices, dtype=float)[np.asarray(triangles, dtype=np.int64)]
-    doubled = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-    bad = np.flatnonzero(doubled <= 0.0)
+    cross, dot = corner_cross_dot(p)
+    # the cross product at corner 0 is twice the triangle's area
+    bad = np.flatnonzero(cross[:, 0] <= 0.0)
     if bad.size:
         raise ValueError(f"degenerate triangle at index {bad[0]}")
-    out = np.empty(p.shape[:2])
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        v = p[:, (i + 2) % 3] - p[:, i]
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        dt = np.einsum("ij,ij->i", u, v)
-        out[:, i] = np.arctan2(cr, dt)
-    return out
+    return np.arctan2(cross, dot)
 
 
 @dataclass

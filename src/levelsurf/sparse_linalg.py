@@ -218,18 +218,19 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
     n = A.shape[0]
     indptr, indices, data = A.indptr, A.indices, A.data
 
-    colpos = [
-        dict(zip(indices[indptr[i]:indptr[i + 1]].tolist(),
-                 range(indptr[i], indptr[i + 1])))
-        for i in range(n)
-    ]
+    # pos[j] is the position of entry (i, j) in data while row i is
+    # eliminated, -1 outside row i's pattern; set and reset row by row
+    # (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 10.3).
+    pos = [-1] * n
     diag_pos = np.empty(n, dtype=np.int64)
     diag_val = np.empty(n)
 
     for i in range(n):
-        my = colpos[i]
+        row = range(indptr[i], indptr[i + 1])
+        for idx in row:
+            pos[indices[idx]] = idx
         dropped = 0.0
-        for idx in range(indptr[i], indptr[i + 1]):
+        for idx in row:
             k = indices[idx]
             if k >= i:
                 break
@@ -237,19 +238,21 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
             lik = data[idx] / piv
             data[idx] = lik
             for jdx in range(diag_pos[k] + 1, indptr[k + 1]):
-                p = my.get(indices[jdx])
-                if p is not None:
+                p = pos[indices[jdx]]
+                if p >= 0:
                     data[p] -= lik * data[jdx]
                 elif modified:
                     dropped += lik * data[jdx]
-        dpos = my.get(i)
-        if dpos is None:
+        dpos = pos[i]
+        if dpos < 0:
             raise ZeroPivotError(i, structural=True)
         data[dpos] -= dropped
         if data[dpos] == 0.0:
             raise ZeroPivotError(i)
         diag_pos[i] = dpos
         diag_val[i] = data[dpos]
+        for idx in row:
+            pos[indices[idx]] = -1
 
     F = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     L = (sp.tril(F, -1) + sp.identity(n, format="csr")).tocsr()

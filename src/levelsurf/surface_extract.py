@@ -7,6 +7,11 @@ are shared between neighbouring tets through a global edge key, which makes
 the triangulation watertight by construction.  Quadrilaterals are split
 along the diagonal at their largest inner angle, which keeps all surface
 angles bounded away from pi.
+
+:func:`extract_surface` returns the final :class:`SurfaceMesh`;
+:func:`extract_raw` returns the cut polygons before the split as a
+:class:`RawSurface`, which :func:`plane_residuals` checks against the
+parent tets' zero planes.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .level_set import NodalField
-from .tet_grid import TetMesh
+from .tet_grid import TetMesh, corner_cross_dot
 
 __all__ = [
-    "CutVertexTable",
     "RawSurface",
     "SurfaceMesh",
     "extract_raw",
@@ -32,34 +36,19 @@ __all__ = [
 
 
 @dataclass
-class CutVertexTable:
-    """Deduplicated cut vertices, one per cut grid edge.
-
-    edges : (Nv, 2) int, sorted global node pairs (a < b)
-    t : (Nv,) float in (0, 1), parameter along a -> b of the zero crossing
-    points : (Nv, 3) float positions
-    Vertices are ordered by their (a, b) edge key, so the table is a pure
-    function of mesh + field.
-    """
-
-    edges: np.ndarray
-    t: np.ndarray
-    points: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass
 class RawSurface:
     """Cut polygons before quad splitting.
 
-    Triangle/quad rows hold indices into ``vertices``; polygons are in
-    cyclic order (consecutive corners share a tet face) and oriented so the
-    polygon normal points from phi < 0 to phi > 0.
+    There is one cut vertex per cut grid edge, deduplicated across tets and
+    ordered by its (a, b) edge key, so the surface is a pure function of
+    mesh + field.  Triangle/quad rows hold indices into ``vertices``;
+    polygons are in cyclic order (consecutive corners share a tet face) and
+    oriented so the polygon normal points from phi < 0 to phi > 0.
     """
 
-    vertices: CutVertexTable
+    vertices: np.ndarray      # (Nv, 3) cut-vertex positions
+    vertex_edges: np.ndarray  # (Nv, 2) sorted global node pairs (a < b)
+    vertex_t: np.ndarray      # (Nv,) parameter in (0, 1) along a -> b
     tris: np.ndarray        # (Nt, 3) int
     tri_parent: np.ndarray  # (Nt,) tet index
     quads: np.ndarray       # (Nq, 4) int
@@ -85,6 +74,10 @@ class SurfaceMesh:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError("vertices must be (N, 3)")
+        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+            raise ValueError("triangles must be (F, 3)")
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
@@ -118,20 +111,25 @@ class SurfaceMesh:
     def tri_coords(self) -> np.ndarray:
         return self.vertices[self.triangles]
 
-    def areas(self) -> np.ndarray:
+    def tri_geometry(self, nondegenerate: bool = False):
+        """Corners p (F, 3, 3), n = (p1 - p0) x (p2 - p0) and |n| = 2 |T|.
+
+        With ``nondegenerate`` a zero-area triangle raises ValueError.
+        """
         p = self.tri_coords()
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-        )
+        n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        two_area = np.linalg.norm(n, axis=1)
+        if nondegenerate and np.any(two_area <= 0.0):
+            raise ValueError("degenerate (zero-area) surface triangle")
+        return p, n, two_area
+
+    def areas(self) -> np.ndarray:
+        return 0.5 * self.tri_geometry()[2]
 
     def normals(self) -> np.ndarray:
         """Unit normals in triangle orientation (phi < 0 side to phi > 0)."""
-        p = self.tri_coords()
-        n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        nn = np.linalg.norm(n, axis=1, keepdims=True)
-        if np.any(nn <= 0.0):
-            raise ValueError("degenerate (zero-area) surface triangle")
-        return n / nn
+        _, n, two_area = self.tri_geometry(nondegenerate=True)
+        return n / two_area[:, None]
 
     def edge_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct undirected triangle edges and their occurrence counts."""
@@ -273,13 +271,10 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
         [tri_edges.reshape(-1, 2), quad_edges.reshape(-1, 2)], axis=0
     )
     if len(all_edges) == 0:
-        empty = CutVertexTable(
-            edges=np.zeros((0, 2), np.int64),
-            t=np.zeros(0),
-            points=np.zeros((0, 3)),
-        )
         return RawSurface(
-            vertices=empty,
+            vertices=np.zeros((0, 3)),
+            vertex_edges=np.zeros((0, 2), np.int64),
+            vertex_t=np.zeros(0),
             tris=np.zeros((0, 3), np.int64),
             tri_parent=np.zeros(0, np.int64),
             quads=np.zeros((0, 4), np.int64),
@@ -298,8 +293,6 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
         raise AssertionError("internal error: cut edge without sign change")
     t = fa / (fa - fb)
     points = (1.0 - t)[:, None] * mesh.nodes[ua] + t[:, None] * mesh.nodes[ub]
-
-    table = CutVertexTable(edges=np.column_stack([ua, ub]), t=t, points=points)
 
     n_tri = len(tri_tets)
     tris = inverse[: 3 * n_tri].reshape(-1, 3).astype(np.int64)
@@ -321,7 +314,9 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
         quads[flip] = quads[flip][:, [0, 3, 2, 1]]
 
     return RawSurface(
-        vertices=table,
+        vertices=points,
+        vertex_edges=np.column_stack([ua, ub]),
+        vertex_t=t,
         tris=tris,
         tri_parent=tri_tets.astype(np.int64),
         quads=quads,
@@ -347,24 +342,12 @@ def plane_residuals(mesh: TetMesh, field: NodalField, raw: RawSurface) -> np.nda
         base = mesh.tet_nodes(parent)[:, 0]
         x0 = mesh.nodes[base]
         f0 = vals[base]
-        p = raw.vertices.points[polys]
+        p = raw.vertices[polys]
         phi = f0[:, None] + np.einsum("ik,ijk->ij", g, p - x0[:, None, :])
         out.append(np.abs(phi) / np.linalg.norm(g, axis=1)[:, None])
     if not out:
         return np.zeros(0)
     return np.concatenate([r.ravel() for r in out])
-
-
-def _quad_angles(q: np.ndarray) -> np.ndarray:
-    """Inner angles of planar quads given corner positions (N, 4, 3)."""
-    ang = np.empty(q.shape[:2])
-    for i in range(4):
-        u = q[:, (i - 1) % 4] - q[:, i]
-        v = q[:, (i + 1) % 4] - q[:, i]
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        dt = np.einsum("ij,ij->i", u, v)
-        ang[:, i] = np.arctan2(cr, dt)
-    return ang
 
 
 def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -374,8 +357,7 @@ def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
     angle ties resolve to the corner with the smallest global vertex id.
     Both halves keep the quad's cyclic orientation.
     """
-    q = points[quad_ids]
-    ang = _quad_angles(q)
+    ang = np.arctan2(*corner_cross_dot(points[quad_ids]))
     amax = ang.max(axis=1)
     tied = ang == amax[:, None]
     cand = np.where(tied, quad_ids, np.iinfo(np.int64).max)
@@ -404,7 +386,7 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
     pure function of the inputs.
     """
     raw = extract_raw(mesh, field)
-    pts = raw.vertices.points
+    pts = raw.vertices
 
     parts = [raw.tris]
     parents = [raw.tri_parent]
@@ -426,8 +408,8 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
     return SurfaceMesh(
         vertices=pts,
         triangles=tris[order],
-        vertex_edges=raw.vertices.edges,
-        vertex_t=raw.vertices.t,
+        vertex_edges=raw.vertex_edges,
+        vertex_t=raw.vertex_t,
         tri_parent=parent[order],
         tri_from_quad=fq[order],
         h=mesh.h,

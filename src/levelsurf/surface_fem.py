@@ -1,26 +1,29 @@
 """P1 finite elements on surface triangulations.
 
 Mass matrices use the exact element integrals |T| (1 + delta_ij) / 12;
-stiffness matrices use the cotangent formula with zero row sums.  Diagonal
-scaling D^{-1/2} A D^{-1/2} produces a unit-diagonal matrix whose spectrum
-is what the conditioning statements are about.  Interpolation errors
-against a smooth surface function are evaluated with a 6-point
-degree-4 triangle quadrature; the reference surface gradient is taken by
-central finite differences inside each triangle's plane.
+stiffness matrices use the cotangent formula with zero row sums, the
+cotangents coming from the package's one corner-angle kernel
+(:func:`~levelsurf.tet_grid.corner_cross_dot`).  Diagonal scaling
+D^{-1/2} A D^{-1/2} produces a unit-diagonal matrix whose spectrum is what
+the conditioning statements are about.  A surface function is extended off
+the surface as u(closest point) and interpolated at the vertices.
+Interpolation errors against it are evaluated with a 6-point degree-4
+triangle quadrature; the reference surface gradient is taken by central
+finite differences inside each triangle's plane.  ``dirichlet_energy``
+integrates the same in-plane P1 gradient directly, a check on the
+cotangent assembly that uses no cotangents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .level_set import SurfaceFunction, closest_point
+from .level_set import SurfaceFunction
 from .surface_extract import SurfaceMesh
+from .tet_grid import corner_cross_dot
 
 __all__ = [
-    "DofMap",
     "TRI_QP_BARY",
     "TRI_QP_WEIGHTS",
     "interpolate",
@@ -50,47 +53,42 @@ TRI_QP_BARY = np.array(
 TRI_QP_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Vertex index <-> matrix row map; the identity in this version."""
+def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
+    """Values of u's extension, u(closest point of spec), at ambient points.
 
-    n: int
-
-    def vertex_to_dof(self, i):
-        return i
-
-    def dof_to_vertex(self, i):
-        return i
+    With ``spec=None`` u is evaluated at the points directly (useful for
+    flat test patches where the extension is the identity).
+    """
+    if spec is not None:
+        points = spec.closest_point(points)
+    return np.asarray(u.value(points), dtype=float)
 
 
 def interpolate(u: SurfaceFunction, spec, surface: SurfaceMesh) -> np.ndarray:
     """Nodal coefficients of the interpolant of u's extension.
 
     With a sphere spec the vertices are projected to the surface first;
-    with ``spec=None`` u is evaluated at the vertices directly (useful for
-    flat test patches where the extension is the identity).
+    with ``spec=None`` u is evaluated at the vertices directly.
     """
-    x = surface.vertices
-    if spec is not None:
-        x = closest_point(spec, x)
-    return np.asarray(u.value(x), dtype=float)
+    return _extension_values(u, spec, surface.vertices)
 
 
-def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
-    if spec is not None:
-        points = closest_point(spec, points)
-    return np.asarray(u.value(points), dtype=float)
+def _p1_gradient(surface: SurfaceMesh, coeffs: np.ndarray):
+    """Constant in-plane gradient of the P1 field per triangle, (F, 3).
 
-
-def _tri_geometry(surface: SurfaceMesh):
-    p = surface.tri_coords()
-    e0 = p[:, 1] - p[:, 0]
-    e1 = p[:, 2] - p[:, 0]
-    n = np.cross(e0, e1)
-    two_area = np.linalg.norm(n, axis=1)
-    if np.any(two_area <= 0.0):
-        raise ValueError("degenerate (zero-area) surface triangle")
-    return p, n, two_area
+    Returns (p, nh, two_area, grad): corners, unit normals, twice the areas
+    and sum_i c_i grad(lambda_i), with grad(lambda_i) = nh x (opposite edge)
+    / (2 A).  Zero-area triangles raise.
+    """
+    p, n, two_area = surface.tri_geometry(nondegenerate=True)
+    nh = n / two_area[:, None]
+    c = coeffs[surface.triangles]
+    grad = (
+        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
+        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
+        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
+    ) / two_area[:, None]
+    return p, nh, two_area, grad
 
 
 def l2_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
@@ -99,7 +97,7 @@ def l2_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (surface.n_vertices,):
         raise ValueError("coefficient vector does not match the surface")
-    p, _, two_area = _tri_geometry(surface)
+    p, _, two_area = surface.tri_geometry(nondegenerate=True)
     qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)        # (F, 6, 3)
     ue = _extension_values(u, spec, qp.reshape(-1, 3)).reshape(qp.shape[:2])
     vh = coeffs[surface.triangles] @ TRI_QP_BARY.T        # (F, 6)
@@ -119,22 +117,12 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (surface.n_vertices,):
         raise ValueError("coefficient vector does not match the surface")
-    p, n, two_area = _tri_geometry(surface)
+    p, nh, two_area, grad = _p1_gradient(surface, coeffs)
 
     # orthonormal in-plane frame (b1, b2)
     b1 = p[:, 1] - p[:, 0]
     b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 = np.cross(n / two_area[:, None], b1)
-
-    # constant in-plane gradient of the P1 field: sum_i c_i grad(lambda_i),
-    # with grad(lambda_i) = n_hat x (opposite edge) / (2 A)
-    nh = n / two_area[:, None]
-    c = coeffs[surface.triangles]
-    grad = (
-        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
-        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
-        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
-    ) / two_area[:, None]
+    b2 = np.cross(nh, b1)
     gv1 = np.einsum("ij,ij->i", grad, b1)
     gv2 = np.einsum("ij,ij->i", grad, b2)
 
@@ -176,7 +164,7 @@ def _assemble(surface: SurfaceMesh, elem: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(surface: SurfaceMesh) -> sp.csr_matrix:
     """P1 mass matrix, element integrals |T| (1 + delta_ij) / 12."""
-    _, _, two_area = _tri_geometry(surface)
+    _, _, two_area = surface.tri_geometry(nondegenerate=True)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     elem = (0.5 * two_area)[:, None, None] * base[None, :, :]
     return _assemble(surface, elem)
@@ -189,13 +177,9 @@ def assemble_stiffness(surface: SurfaceMesh) -> sp.csr_matrix:
     summed over the one or two triangles containing the edge; diagonals
     make every row sum vanish, so constants are in the kernel exactly.
     """
-    p, _, _ = _tri_geometry(surface)
-    cots = np.empty((len(p), 3))
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        cots[:, k] = np.einsum("ij,ij->i", u, v) / cr
+    p, _, _ = surface.tri_geometry(nondegenerate=True)
+    cross, dot = corner_cross_dot(p)
+    cots = dot / cross
 
     elem = np.zeros((len(p), 3, 3))
     for k in range(3):
@@ -231,20 +215,13 @@ def dirichlet_energy(surface: SurfaceMesh, coeffs: np.ndarray) -> float:
     Independent of the cotangent assembly; equals <A c, c> up to roundoff.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    p, n, two_area = _tri_geometry(surface)
-    nh = n / two_area[:, None]
-    c = coeffs[surface.triangles]
-    grad = (
-        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
-        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
-        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
-    ) / two_area[:, None]
+    _, _, two_area, grad = _p1_gradient(surface, coeffs)
     return float((np.einsum("ij,ij->i", grad, grad) * 0.5 * two_area).sum())
 
 
 def vertex_support_areas(surface: SurfaceMesh) -> np.ndarray:
     """Area of the triangle patch around each vertex (|supp phi_i|)."""
-    _, _, two_area = _tri_geometry(surface)
+    _, _, two_area = surface.tri_geometry(nondegenerate=True)
     out = np.zeros(surface.n_vertices)
     np.add.at(out, surface.triangles.ravel(), np.repeat(0.5 * two_area, 3))
     return out

@@ -5,7 +5,11 @@ main diagonal, so neighbouring cubes match face-to-face and the mesh is
 conforming by construction.  Nodes are indexed lexicographically with x
 running fastest.  The module also provides the two shape metrics used for
 stability statements: the enclosing/inscribed ball-diameter ratio and the
-minimum angle over face angles and edge-to-opposite-face angles.
+minimum angle over face angles and edge-to-opposite-face angles.  Every
+inner angle of a polygon in the package (tet faces, surface triangles,
+cut quads, the cotangents of the stiffness matrix) comes from one kernel,
+:func:`corner_cross_dot`, which lives here because every other module can
+import this one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "TetMesh",
     "build_uniform_mesh",
     "tet_volumes",
+    "corner_cross_dot",
     "shape_regularity",
     "min_angle_theta",
     "tet_face_angles",
@@ -323,21 +328,28 @@ def shape_regularity(mesh: TetMesh, per_tet: bool = False):
     return ratio if per_tet else float(ratio.max())
 
 
+def corner_cross_dot(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|u x v|, u . v) at every corner of cyclic polygons ``p``, (..., k, 3).
+
+    At corner i, u points to corner i + 1 and v to corner i - 1 (mod k).
+    The inner angle is ``arctan2(|u x v|, u . v)``, accurate near 0 and pi;
+    its cotangent is ``u . v / |u x v|``.  Both arrays have shape (..., k).
+    """
+    k = p.shape[-2]
+    cross = np.empty(p.shape[:-1])
+    dot = np.empty(p.shape[:-1])
+    for i in range(k):
+        u = p[..., (i + 1) % k, :] - p[..., i, :]
+        v = p[..., (i - 1) % k, :] - p[..., i, :]
+        cross[..., i] = np.linalg.norm(np.cross(u, v), axis=-1)
+        dot[..., i] = np.einsum("...j,...j->...", u, v)
+    return cross, dot
+
+
 def tet_face_angles(mesh: TetMesh) -> np.ndarray:
     """All 12 face angles per tet (4 faces x 3 corners), radians, (M, 12)."""
-    p = mesh.tet_coords()
-    out = np.empty((len(p), 12))
-    col = 0
-    for tri in _OPP_FACES:
-        for i in range(3):
-            a = p[:, tri[i]]
-            u = p[:, tri[(i + 1) % 3]] - a
-            v = p[:, tri[(i + 2) % 3]] - a
-            cr = np.linalg.norm(np.cross(u, v), axis=1)
-            dt = np.einsum("ij,ij->i", u, v)
-            out[:, col] = np.arctan2(cr, dt)
-            col += 1
-    return out
+    faces = mesh.tet_coords()[:, _OPP_FACES]
+    return np.arctan2(*corner_cross_dot(faces)).reshape(len(faces), 12)
 
 
 def tet_edge_face_angles(mesh: TetMesh) -> np.ndarray:

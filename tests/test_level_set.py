@@ -7,14 +7,14 @@ from levelsurf.level_set import (
     NodalField,
     SphereLevelSet,
     SurfaceFunction,
-    closest_point,
     constant_function,
     coordinate_function,
-    extend_function,
     interpolate_nodal,
     product_arctan_function,
     snap_small_values,
 )
+from levelsurf.surface_extract import SurfaceMesh
+from levelsurf.surface_fem import interpolate
 from levelsurf.tet_grid import BoxDomain, build_uniform_mesh
 
 from conftest import BOX
@@ -24,6 +24,11 @@ from conftest import BOX
 UE_AT_111 = 0.09093815805716499
 
 CUBE = build_uniform_mesh(BoxDomain((0, 0, 0), (1, 1, 1)), 1.0)  # 8 nodes
+
+
+def extend(u, spec, points):
+    """u's extension at ambient points: interpolate on a triangle-free mesh."""
+    return interpolate(u, spec, SurfaceMesh.from_arrays(points, np.zeros((0, 3))))
 
 
 def cube_field(values):
@@ -56,7 +61,7 @@ def test_sphere_normal_and_closest_point():
     npt.assert_allclose(spec.normal(pts), [[1, 0, 0], [0, 1, 0]], atol=1e-15)
     npt.assert_allclose(spec.closest_point(pts), [[3, 0, 0], [1, 2, 0]],
                         atol=1e-15)
-    proj = closest_point(spec, pts)
+    proj = spec.closest_point(pts)
     npt.assert_allclose(np.linalg.norm(proj - [1, 0, 0], axis=1), 2.0,
                         rtol=1e-15)
 
@@ -130,7 +135,7 @@ def test_snap_count_unit_sphere(h):
 def test_extend_function_frozen_value():
     u = product_arctan_function()
     spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
-    val = extend_function(u, spec, np.array([[1.0, 1.0, 1.0]]))
+    val = extend(u, spec, np.array([[1.0, 1.0, 1.0]]))
     npt.assert_allclose(val, [UE_AT_111], rtol=1e-14)
 
 
@@ -143,7 +148,7 @@ def test_extension_constant_along_normals():
     on_surface = spec.closest_point(x * 3.0)
     for t in (0.4, 1.0, 1.7):
         pts = np.asarray([0, 0, 0.25]) + t * (on_surface - [0, 0, 0.25])
-        npt.assert_allclose(extend_function(u, spec, pts),
+        npt.assert_allclose(extend(u, spec, pts),
                             u.value(on_surface), rtol=1e-12)
 
 

@@ -9,8 +9,9 @@ from levelsurf.mesh_quality import (
     quality_report,
     triangle_angles,
 )
-from levelsurf.surface_extract import SurfaceMesh, extract_surface
-from levelsurf.tet_grid import build_uniform_mesh
+from levelsurf.surface_extract import SurfaceMesh, extract_surface, split_quad
+from levelsurf.surface_fem import assemble_stiffness
+from levelsurf.tet_grid import build_uniform_mesh, corner_cross_dot
 
 from conftest import BOX, sphere_surface
 
@@ -30,18 +31,33 @@ def test_right_isosceles():
     npt.assert_allclose(sorted(ang), [45.0, 45.0, 90.0], rtol=1e-12)
 
 
-def test_near_degenerate_angle():
+@pytest.mark.parametrize("site", ["triangle_angles", "split_quad",
+                                  "assemble_stiffness"])
+def test_near_degenerate_angle(site):
     # mpmath 50-digit oracle for the angle at the origin:
     #   arccos(-1/sqrt(1+eps^2)) with eps = 1e-3  ->  179.9427042204869 deg.
+    # Each site reaches it through the shared corner kernel.
     import mpmath
 
     eps = 1e-3
-    v, t = one_triangle([[0, 0, 0], [1, 0, 0], [-1, eps, 0]])
     mpmath.mp.dps = 50
-    expected = float(mpmath.degrees(mpmath.acos(-1 / mpmath.sqrt(1 + mpmath.mpf(eps) ** 2))))
-    ang = np.degrees(triangle_angles(v, t)[0])
-    npt.assert_allclose(ang.max(), expected, rtol=1e-12)
-    assert ang.max() > 179.9
+    exact = mpmath.acos(-1 / mpmath.sqrt(1 + mpmath.mpf(eps) ** 2))
+    expected = float(mpmath.degrees(exact))
+    v, t = one_triangle([[0, 0, 0], [1, 0, 0], [-1, eps, 0]])
+    if site == "triangle_angles":
+        ang = np.degrees(triangle_angles(v, t)[0])
+        npt.assert_allclose(ang.max(), expected, rtol=1e-12)
+        assert ang.max() > 179.9
+    elif site == "split_quad":
+        # convex quad, near-pi corner (the origin) at position 2
+        q = np.array([[0, 1, 0], [-1, eps, 0], [0, 0, 0], [1, 0, 0]], float)
+        ang = np.degrees(np.arctan2(*corner_cross_dot(q)))
+        npt.assert_allclose(ang[2], expected, rtol=1e-12)
+        npt.assert_array_equal(split_quad(np.arange(4), q), [[2, 3, 0], [2, 0, 1]])
+    else:
+        # off-diagonal (1, 2) is -cot(angle at corner 0) / 2
+        K = assemble_stiffness(SurfaceMesh.from_arrays(v, t)).toarray()
+        npt.assert_allclose(-2.0 * K[1, 2], float(mpmath.cot(exact)), rtol=1e-12)
 
 
 def test_angle_sums_random():

@@ -369,3 +369,9 @@ def test_from_arrays_surface():
 def test_from_arrays_index_validation():
     with pytest.raises(ValueError):
         SurfaceMesh.from_arrays(np.zeros((2, 3)), np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match=r"triangles must be \(F, 3\)"):
+        SurfaceMesh.from_arrays(np.zeros((4, 3)), np.array([[0, 1, 2, 3]]))
+    with pytest.raises(ValueError, match=r"triangles must be \(F, 3\)"):
+        SurfaceMesh.from_arrays(np.zeros((3, 3)), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match=r"vertices must be \(N, 3\)"):
+        SurfaceMesh.from_arrays(np.zeros((3, 2)), np.array([[0, 1, 2]]))
