@@ -19,9 +19,7 @@ __all__ = [
     "write_json",
     "write_obj",
     "write_vtk_surface",
-    "write_vtk_tet_mesh",
     "write_matrix_market",
-    "read_matrix_market",
 ]
 
 
@@ -73,26 +71,31 @@ def write_obj(path: str, vertices: np.ndarray, triangles: np.ndarray) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _vtk_file(path: str, title: str, dataset: str, points: np.ndarray,
-              cell_lines: list[str],
-              point_data: dict[str, np.ndarray] | None) -> None:
-    """Write a legacy ASCII VTK file: header, POINTS, cells, POINT_DATA.
+def write_vtk_surface(path: str, vertices: np.ndarray, triangles: np.ndarray,
+                      point_data: dict[str, np.ndarray] | None = None) -> None:
+    """Write a triangle mesh as legacy ASCII VTK POLYDATA.
 
-    ``cell_lines`` is the dataset's cell block as text lines; each
-    ``point_data`` array must have one value per point.
+    Parameters
+    ----------
+    point_data : dict, optional
+        Scalar arrays of length n_vertices, written as POINT_DATA fields.
     """
-    points = np.asarray(points, dtype=float)
-    nv = len(points)
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    nv = len(vertices)
+    nt = len(triangles)
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "levelsurf surface",
         "ASCII",
-        f"DATASET {dataset}",
+        "DATASET POLYDATA",
         f"POINTS {nv} double",
     ]
-    for v in points:
+    for v in vertices:
         lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    lines.extend(cell_lines)
+    lines.append(f"POLYGONS {nt} {4 * nt}")
+    for t in triangles:
+        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     if point_data:
         lines.append(f"POINT_DATA {nv}")
         for name in sorted(point_data):
@@ -109,43 +112,6 @@ def _vtk_file(path: str, title: str, dataset: str, points: np.ndarray,
         f.write("\n".join(lines) + "\n")
 
 
-def write_vtk_surface(path: str, vertices: np.ndarray, triangles: np.ndarray,
-                      point_data: dict[str, np.ndarray] | None = None) -> None:
-    """Write a triangle mesh as legacy ASCII VTK POLYDATA.
-
-    Parameters
-    ----------
-    point_data : dict, optional
-        Scalar arrays of length n_vertices, written as POINT_DATA fields.
-    """
-    triangles = np.asarray(triangles, dtype=np.int64)
-    nt = len(triangles)
-    cells = [f"POLYGONS {nt} {4 * nt}"]
-    for t in triangles:
-        cells.append(f"3 {t[0]} {t[1]} {t[2]}")
-    _vtk_file(path, "levelsurf surface", "POLYDATA", vertices, cells,
-              point_data)
-
-
-def write_vtk_tet_mesh(path: str, nodes: np.ndarray, tets: np.ndarray,
-                       point_data: dict[str, np.ndarray] | None = None) -> None:
-    """Write a tetrahedral mesh as legacy ASCII VTK UNSTRUCTURED_GRID."""
-    tets = np.asarray(tets, dtype=np.int64)
-    nc = len(tets)
-    cells = [f"CELLS {nc} {5 * nc}"]
-    for t in tets:
-        cells.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
-    cells.append(f"CELL_TYPES {nc}")
-    cells.extend(["10"] * nc)
-    _vtk_file(path, "levelsurf tet mesh", "UNSTRUCTURED_GRID", nodes, cells,
-              point_data)
-
-
 def write_matrix_market(path: str, A: sp.spmatrix) -> None:
     """Write a sparse matrix in MatrixMarket coordinate format."""
     scipy.io.mmwrite(os.fspath(path), sp.coo_matrix(A))
-
-
-def read_matrix_market(path: str) -> sp.csr_matrix:
-    """Read a MatrixMarket file as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(os.fspath(path)))

@@ -54,10 +54,6 @@ class RawSurface:
     quads: np.ndarray       # (Nq, 4) int
     quad_parent: np.ndarray
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.tris) + len(self.quads)
-
 
 @dataclass
 class SurfaceMesh:

@@ -3,17 +3,16 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from levelsurf.io import (
     fmt,
-    read_matrix_market,
     write_csv,
     write_json,
     write_matrix_market,
     write_obj,
     write_vtk_surface,
-    write_vtk_tet_mesh,
 )
 
 
@@ -104,22 +103,11 @@ def test_write_vtk_surface_validates_point_data(tmp_path):
         )
 
 
-def test_write_vtk_tet_mesh(tmp_path):
-    path = tmp_path / "m.vtk"
-    nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    write_vtk_tet_mesh(str(path), nodes, np.array([[0, 1, 2, 3]]))
-    lines = path.read_text().splitlines()
-    assert "DATASET UNSTRUCTURED_GRID" in lines
-    assert "CELLS 1 5" in lines
-    assert "4 0 1 2 3" in lines
-    assert lines[lines.index("CELL_TYPES 1") + 1] == "10"
-
-
 def test_matrix_market_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     A = sp.random(30, 30, density=0.1, random_state=rng, format="csr")
     path = tmp_path / "a.mtx"
     write_matrix_market(str(path), A)
-    B = read_matrix_market(str(path))
+    B = scipy.io.mmread(str(path))
     assert B.shape == A.shape
     npt.assert_allclose(B.toarray(), A.toarray(), rtol=1e-14, atol=1e-300)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,6 +229,110 @@ def dense_ilu0(A, modified=False):
     return np.tril(F, -1) + np.eye(n), np.triu(F)
 
 
+def loop_ilu0(A, modified=False):
+    """Row-by-row sparse IKJ ILU(0)/MILU(0): the bitwise reference.
+
+    ``ilu0_factor`` must reproduce these factors exactly and raise at the
+    same row; returns (L, U) or raises ZeroPivotError like it.
+    """
+    A = sp.csr_matrix(A).copy()
+    A.sum_duplicates()
+    A.sort_indices()
+    n = A.shape[0]
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    # pos[j] is the position of entry (i, j) in data while row i is
+    # eliminated, -1 outside row i's pattern (Saad, 2nd ed., 10.3).
+    pos = [-1] * n
+    diag_pos = np.empty(n, dtype=np.int64)
+    diag_val = np.empty(n)
+
+    for i in range(n):
+        row = range(indptr[i], indptr[i + 1])
+        for idx in row:
+            pos[indices[idx]] = idx
+        dropped = 0.0
+        for idx in row:
+            k = indices[idx]
+            if k >= i:
+                break
+            piv = diag_val[k]
+            lik = data[idx] / piv
+            data[idx] = lik
+            for jdx in range(diag_pos[k] + 1, indptr[k + 1]):
+                p = pos[indices[jdx]]
+                if p >= 0:
+                    data[p] -= lik * data[jdx]
+                elif modified:
+                    dropped += lik * data[jdx]
+        dpos = pos[i]
+        if dpos < 0:
+            raise ZeroPivotError(i, structural=True)
+        data[dpos] -= dropped
+        if data[dpos] == 0.0:
+            raise ZeroPivotError(i)
+        diag_pos[i] = dpos
+        diag_val[i] = data[dpos]
+        for idx in row:
+            pos[indices[idx]] = -1
+
+    F = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    L = (sp.tril(F, -1) + sp.identity(n, format="csr")).tocsr()
+    U = sp.triu(F, 0).tocsr()
+    L.sort_indices()
+    U.sort_indices()
+    return L, U
+
+
+def _with_stored_zeros(A, entries):
+    """A with explicitly stored 0.0 at the given (row, col) pairs."""
+    A = A.tocoo()
+    r, c = np.array(entries).T
+    B = sp.csr_matrix((np.r_[A.data, np.zeros(len(r))],
+                       (np.r_[A.row, r], np.r_[A.col, c])), shape=A.shape)
+    assert B.nnz == A.nnz + len(r)
+    return B
+
+
+def _bitwise_cases(sphere_h4, sphere_h8):
+    rng = np.random.default_rng(11)
+    # Non-symmetric pattern: a lower entry (i, k) without its mirror (k, i)
+    # and the other way round.
+    R = sp.random(150, 150, density=0.04, random_state=rng, format="csr")
+    nonsym = (R + 10.0 * sp.identity(150)).tocsr()
+    pattern = (nonsym != 0).astype(int)
+    assert (pattern != pattern.T).nnz > 0
+    # Stored zeros in both triangles, and a stored zero pivot at (2, 2)
+    # that the update from row 1 turns nonzero.
+    stored = _with_stored_zeros(build_reference_matrix(6, 6),
+                                [(5, 0), (0, 5), (20, 3), (3, 20), (17, 9)])
+    zero_pivot = _with_stored_zeros(sp.csr_matrix(np.array(
+        [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 0.0]])), [(2, 2)])
+    return {
+        "reference": build_reference_matrix(),
+        "random_spd": random_spd(rng, 200, 0.05),
+        "stiffness_h4": diag_scale(assemble_stiffness(sphere_h4[1]))[0],
+        "stiffness_h8": diag_scale(assemble_stiffness(sphere_h8[1]))[0],
+        "nonsymmetric_pattern": nonsym,
+        "stored_zeros": stored,
+        "stored_zero_pivot": zero_pivot,
+        # One row per wavefront level.
+        "tridiagonal": sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1],
+                                shape=(300, 300), format="csr"),
+    }
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_ilu0_bitwise_equals_row_loop(modified, sphere_h4, sphere_h8):
+    for name, A in _bitwise_cases(sphere_h4, sphere_h8).items():
+        L, U = ilu0_factor(A, modified=modified)
+        L_ref, U_ref = loop_ilu0(A, modified=modified)
+        for got, ref in ((L, L_ref), (U, U_ref)):
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(ref, field)), (name, field)
+
+
 @pytest.mark.parametrize("modified", [False, True])
 def test_ilu0_matches_dense_reference(modified):
     rng = np.random.default_rng(4)
@@ -280,6 +386,56 @@ def test_ilu0_zero_pivot():
     with pytest.raises(ZeroPivotError, match="zero pivot in row 1") as exc:
         ilu0_factor(A)
     assert exc.value.row == 1
+
+
+def _raised(factor, A, modified):
+    with pytest.raises(ZeroPivotError) as exc:
+        factor(A, modified=modified)
+    return exc.value.row, str(exc.value)
+
+
+# Row 1 has a zero pivot (1 - 1*1) and row 3 no stored diagonal; row 2
+# reads row 1, and row 3 sits in the first wavefront level.
+ZERO_THEN_MISSING = [[1.0, 1.0, 0.0, 0.0],
+                     [1.0, 1.0, 1.0, 0.0],
+                     [0.0, 1.0, 3.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0]]
+# Row 1 has no stored diagonal and row 2 reads it; row 3 has a zero pivot
+# (1 - 1*1).
+MISSING_THEN_ZERO = [[2.0, 0.0, 0.0, 1.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 1.0, 0.0],
+                     [2.0, 0.0, 0.0, 1.0]]
+# Row 1 has a zero pivot in the second wavefront level, row 2 a stored
+# zero pivot in the first.
+ZERO_THEN_ZERO = [[1.0, 1.0, 0.0],
+                  [1.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("dense, stored, row, kind", [
+    (ZERO_THEN_MISSING, [], 1, "zero"),
+    (MISSING_THEN_ZERO, [], 1, "structurally missing"),
+    (ZERO_THEN_ZERO, [(2, 2)], 1, "zero"),
+])
+def test_ilu0_raises_at_lowest_failing_row(dense, stored, row, kind, modified):
+    A = sp.csr_matrix(np.array(dense))
+    if stored:
+        A = _with_stored_zeros(A, stored)
+    got = _raised(ilu0_factor, A, modified)
+    assert got == _raised(loop_ilu0, A, modified)
+    assert got[0] == row and f"{kind} pivot in row {row}" in got[1]
+
+
+def test_ilu0_zero_pivot_emits_no_warning():
+    # Row 2 reads the zero pivot of row 1: 1 / 0 is computed before the
+    # lowest failing row is known, and must not surface as a warning.
+    A = sp.csr_matrix(np.array(ZERO_THEN_MISSING)[:3, :3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroPivotError, match="zero pivot in row 1"):
+            ilu0_factor(A)
 
 
 def test_milu0_indefinite_on_singular_stiffness(sphere_h4):

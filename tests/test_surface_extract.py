@@ -146,7 +146,6 @@ def test_raw_surface_counts(sphere_h4):
     spec, surf = sphere_h4
     field = snap_small_values(interpolate_nodal(spec, mesh))
     raw = extract_raw(mesh, field)
-    assert raw.n_segments == len(raw.tris) + len(raw.quads)
     assert surf.n_triangles == len(raw.tris) + 2 * len(raw.quads)
     assert (raw.tri_parent < mesh.n_tets).all()
     assert (raw.quad_parent < mesh.n_tets).all()
