@@ -54,11 +54,9 @@ from .surface_fem import (
     assemble_mass,
     assemble_stiffness,
     diag_scale,
-    dirichlet_energy,
     h1_semi_error,
     interpolate,
     l2_error,
-    vertex_support_areas,
 )
 from .tet_grid import (
     BoxDomain,
@@ -94,7 +92,6 @@ __all__ = [
     "constant_function",
     "coordinate_function",
     "diag_scale",
-    "dirichlet_energy",
     "effective_cond",
     "eig_extreme",
     "extract_raw",
@@ -115,5 +112,4 @@ __all__ = [
     "split_quad",
     "tet_volumes",
     "triangle_angles",
-    "vertex_support_areas",
 ]

@@ -29,6 +29,9 @@ __all__ = [
     "constant_function",
 ]
 
+# Nodes per sampling chunk in interpolate_nodal (1.5 MiB of coordinates).
+_SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SphereLevelSet:
@@ -72,7 +75,9 @@ class SphereLevelSet:
 class AnalyticLevelSet:
     """Level set given by a callable phi; distance/normal handles optional.
 
-    ``fn`` maps (..., 3) point arrays to (...) values.  If ``distance`` and
+    ``fn`` maps (..., 3) point arrays to (...) values and must be
+    pointwise: :func:`interpolate_nodal` samples the nodes in chunks, so
+    each call sees only part of the grid.  If ``distance`` and
     ``normal`` are provided, geometric-assumption checks become available;
     closest-point projection is not supported for generic level sets.
     """
@@ -125,7 +130,8 @@ class NodalField:
 class SurfaceFunction:
     """Scalar function on the surface, evaluable at ambient points.
 
-    ``value`` maps (..., 3) points to (...) values.  ``gradient``, if given,
+    ``value`` maps (..., 3) points to (...) values and must be pointwise:
+    the error norms evaluate it block by block.  ``gradient``, if given,
     returns the ambient R^3 gradient (..., 3); it is only used by tests and
     cross-checks — error norms use in-plane finite differences.
     """
@@ -135,8 +141,17 @@ class SurfaceFunction:
 
 
 def interpolate_nodal(spec, mesh: TetMesh) -> NodalField:
-    """Evaluate the level-set spec at all mesh nodes."""
-    return NodalField(mesh=mesh, values=spec.evaluate(mesh.nodes))
+    """Evaluate the level-set spec at all mesh nodes.
+
+    Nodes are sampled in chunks of at most ``_SAMPLE_CHUNK`` consecutive
+    ids, so no (N, 3) coordinate array is ever built; ``spec.evaluate``
+    must therefore be pointwise.
+    """
+    values = np.empty(mesh.n_nodes)
+    for start in range(0, mesh.n_nodes, _SAMPLE_CHUNK):
+        ids = np.arange(start, min(start + _SAMPLE_CHUNK, mesh.n_nodes))
+        values[start:start + _SAMPLE_CHUNK] = spec.evaluate(mesh.node_coords(ids))
+    return NodalField(mesh=mesh, values=values)
 
 
 def snap_small_values(field: NodalField, eps_snap: float | None = None) -> NodalField:

@@ -107,12 +107,14 @@ class SurfaceMesh:
     def tri_coords(self) -> np.ndarray:
         return self.vertices[self.triangles]
 
-    def tri_geometry(self, nondegenerate: bool = False):
+    def tri_geometry(self, nondegenerate: bool = False,
+                     rows: slice = slice(None)):
         """Corners p (F, 3, 3), n = (p1 - p0) x (p2 - p0) and |n| = 2 |T|.
 
-        With ``nondegenerate`` a zero-area triangle raises ValueError.
+        Covers the triangles ``rows`` (all by default).  With
+        ``nondegenerate`` a zero-area triangle raises ValueError.
         """
-        p = self.tri_coords()
+        p = self.vertices[self.triangles[rows]]
         n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         two_area = np.linalg.norm(n, axis=1)
         if nondegenerate and np.any(two_area <= 0.0):
@@ -245,7 +247,7 @@ def _cut_polygons(mesh: TetMesh, field: NodalField):
 def _tet_gradients(mesh: TetMesh, vals: np.ndarray, tet_ids: np.ndarray) -> np.ndarray:
     """Constant gradient of the P1 interpolant on the given tets."""
     tet_nodes = mesh.tet_nodes(tet_ids)
-    p = mesh.nodes[tet_nodes]
+    p = mesh.node_coords(tet_nodes)
     f = vals[tet_nodes]
     E = p[:, 1:] - p[:, :1]
     rhs = f[:, 1:] - f[:, :1]
@@ -288,7 +290,8 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
     if np.any(fa * fb >= 0):
         raise AssertionError("internal error: cut edge without sign change")
     t = fa / (fa - fb)
-    points = (1.0 - t)[:, None] * mesh.nodes[ua] + t[:, None] * mesh.nodes[ub]
+    points = ((1.0 - t)[:, None] * mesh.node_coords(ua)
+              + t[:, None] * mesh.node_coords(ub))
 
     n_tri = len(tri_tets)
     tris = inverse[: 3 * n_tri].reshape(-1, 3).astype(np.int64)
@@ -336,7 +339,7 @@ def plane_residuals(mesh: TetMesh, field: NodalField, raw: RawSurface) -> np.nda
             continue
         g = _tet_gradients(mesh, vals, parent)
         base = mesh.tet_nodes(parent)[:, 0]
-        x0 = mesh.nodes[base]
+        x0 = mesh.node_coords(base)
         f0 = vals[base]
         p = raw.vertices[polys]
         phi = f0[:, None] + np.einsum("ik,ijk->ij", g, p - x0[:, None, :])

@@ -9,9 +9,9 @@ the conditioning statements are about.  A surface function is extended off
 the surface as u(closest point) and interpolated at the vertices.
 Interpolation errors against it are evaluated with a 6-point degree-4
 triangle quadrature; the reference surface gradient is taken by central
-finite differences inside each triangle's plane.  ``dirichlet_energy``
-integrates the same in-plane P1 gradient directly, a check on the
-cotangent assembly that uses no cotangents.
+finite differences inside each triangle's plane.  Both error norms run
+their quadrature over blocks of ``_QUAD_BLOCK`` triangles, so their
+temporaries do not grow with the surface.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "diag_scale",
-    "dirichlet_energy",
-    "vertex_support_areas",
 ]
 
 # Symmetric 6-point triangle rule, exact for polynomials of degree 4.
@@ -51,6 +49,9 @@ TRI_QP_BARY = np.array(
     ]
 )
 TRI_QP_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+
+# Triangles per quadrature block of l2_error and h1_semi_error.
+_QUAD_BLOCK = 4096
 
 
 def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
@@ -73,36 +74,40 @@ def interpolate(u: SurfaceFunction, spec, surface: SurfaceMesh) -> np.ndarray:
     return _extension_values(u, spec, surface.vertices)
 
 
-def _p1_gradient(surface: SurfaceMesh, coeffs: np.ndarray):
-    """Constant in-plane gradient of the P1 field per triangle, (F, 3).
+def _quadrature_norm(surface: SurfaceMesh, coeffs: np.ndarray,
+                     integrand) -> float:
+    """sqrt(sum over triangles T of |T| * integrand on T), block by block.
 
-    Returns (p, nh, two_area, grad): corners, unit normals, twice the areas
-    and sum_i c_i grad(lambda_i), with grad(lambda_i) = nh x (opposite edge)
-    / (2 A).  Zero-area triangles raise.
+    ``integrand(p, n, two_area, c)`` gets the corners, normals, twice the
+    areas and nodal coefficients (B, 3) of one block of at most
+    ``_QUAD_BLOCK`` triangles and returns the quadrature-weighted mean of
+    the squared error per triangle, (B,).  Each block fills its slice of
+    one per-triangle array, summed once at the end.  Zero-area triangles
+    raise.
     """
-    p, n, two_area = surface.tri_geometry(nondegenerate=True)
-    nh = n / two_area[:, None]
-    c = coeffs[surface.triangles]
-    grad = (
-        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
-        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
-        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
-    ) / two_area[:, None]
-    return p, nh, two_area, grad
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (surface.n_vertices,):
+        raise ValueError("coefficient vector does not match the surface")
+    per_tri = np.empty(surface.n_triangles)
+    for start in range(0, surface.n_triangles, _QUAD_BLOCK):
+        rows = slice(start, start + _QUAD_BLOCK)
+        p, n, two_area = surface.tri_geometry(nondegenerate=True, rows=rows)
+        c = coeffs[surface.triangles[rows]]
+        per_tri[rows] = integrand(p, n, two_area, c) * (0.5 * two_area)
+    return float(np.sqrt(per_tri.sum()))
 
 
 def l2_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
              coeffs: np.ndarray) -> float:
     """L2 norm of (extension of u) - (P1 field with the given coefficients)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (surface.n_vertices,):
-        raise ValueError("coefficient vector does not match the surface")
-    p, _, two_area = surface.tri_geometry(nondegenerate=True)
-    qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)        # (F, 6, 3)
-    ue = _extension_values(u, spec, qp.reshape(-1, 3)).reshape(qp.shape[:2])
-    vh = coeffs[surface.triangles] @ TRI_QP_BARY.T        # (F, 6)
-    per_tri = ((ue - vh) ** 2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
-    return float(np.sqrt(per_tri.sum()))
+
+    def integrand(p, n, two_area, c):
+        qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)        # (B, 6, 3)
+        ue = _extension_values(u, spec, qp.reshape(-1, 3)).reshape(qp.shape[:2])
+        vh = c @ TRI_QP_BARY.T                                # (B, 6)
+        return (ue - vh) ** 2 @ TRI_QP_WEIGHTS
+
+    return _quadrature_norm(surface, coeffs, integrand)
 
 
 def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
@@ -110,43 +115,47 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
     """H1 seminorm of the interpolation error, triangle by triangle.
 
     Both gradients are taken inside each triangle's plane: the P1 gradient
-    is constant, the reference gradient of u's extension is approximated by
-    central finite differences with step fd_step_rel * diam(T) along an
-    orthonormal in-plane basis.
+    is constant, sum_i c_i grad(lambda_i) with grad(lambda_i) = nh x
+    (opposite edge) / (2 A); the reference gradient of u's extension is
+    approximated by central finite differences with step
+    fd_step_rel * diam(T) along an orthonormal in-plane basis.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (surface.n_vertices,):
-        raise ValueError("coefficient vector does not match the surface")
-    p, nh, two_area, grad = _p1_gradient(surface, coeffs)
-
-    # orthonormal in-plane frame (b1, b2)
-    b1 = p[:, 1] - p[:, 0]
-    b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 = np.cross(nh, b1)
-    gv1 = np.einsum("ij,ij->i", grad, b1)
-    gv2 = np.einsum("ij,ij->i", grad, b2)
-
-    edges = np.stack(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
-    )
-    diam = np.linalg.norm(edges, axis=2).max(axis=1)
-    step = (fd_step_rel * diam)[:, None, None]
-
-    qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
 
     def ext(pts):
         return _extension_values(u, spec, pts.reshape(-1, 3)).reshape(pts.shape[:2])
 
-    du1 = (ext(qp + step * b1[:, None, :]) - ext(qp - step * b1[:, None, :])) / (
-        2.0 * step[:, :, 0]
-    )
-    du2 = (ext(qp + step * b2[:, None, :]) - ext(qp - step * b2[:, None, :])) / (
-        2.0 * step[:, :, 0]
-    )
+    def integrand(p, n, two_area, c):
+        nh = n / two_area[:, None]
+        grad = (
+            c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
+            + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
+            + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
+        ) / two_area[:, None]
 
-    diff2 = (du1 - gv1[:, None]) ** 2 + (du2 - gv2[:, None]) ** 2
-    per_tri = (diff2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
-    return float(np.sqrt(per_tri.sum()))
+        # orthonormal in-plane frame (b1, b2)
+        b1 = p[:, 1] - p[:, 0]
+        b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+        b2 = np.cross(nh, b1)
+        gv1 = np.einsum("ij,ij->i", grad, b1)
+        gv2 = np.einsum("ij,ij->i", grad, b2)
+
+        edges = np.stack(
+            [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
+        )
+        diam = np.linalg.norm(edges, axis=2).max(axis=1)
+        step = (fd_step_rel * diam)[:, None, None]
+
+        qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
+        du1 = (ext(qp + step * b1[:, None, :]) - ext(qp - step * b1[:, None, :])) / (
+            2.0 * step[:, :, 0]
+        )
+        du2 = (ext(qp + step * b2[:, None, :]) - ext(qp - step * b2[:, None, :])) / (
+            2.0 * step[:, :, 0]
+        )
+        diff2 = (du1 - gv1[:, None]) ** 2 + (du2 - gv2[:, None]) ** 2
+        return diff2 @ TRI_QP_WEIGHTS
+
+    return _quadrature_norm(surface, coeffs, integrand)
 
 
 def _assemble(surface: SurfaceMesh, elem: np.ndarray) -> sp.csr_matrix:
@@ -207,21 +216,3 @@ def diag_scale(A: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     out.setdiag(1.0)
     out.sort_indices()
     return out, d
-
-
-def dirichlet_energy(surface: SurfaceMesh, coeffs: np.ndarray) -> float:
-    """Integral of |in-plane gradient|^2 of the P1 field, by direct quadrature.
-
-    Independent of the cotangent assembly; equals <A c, c> up to roundoff.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    _, _, two_area, grad = _p1_gradient(surface, coeffs)
-    return float((np.einsum("ij,ij->i", grad, grad) * 0.5 * two_area).sum())
-
-
-def vertex_support_areas(surface: SurfaceMesh) -> np.ndarray:
-    """Area of the triangle patch around each vertex (|supp phi_i|)."""
-    _, _, two_area = surface.tri_geometry(nondegenerate=True)
-    out = np.zeros(surface.n_vertices)
-    np.add.at(out, surface.triangles.ravel(), np.repeat(0.5 * two_area, 3))
-    return out

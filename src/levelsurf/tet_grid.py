@@ -86,11 +86,17 @@ class TetMesh:
     """Conforming tetrahedral mesh of a box.
 
     A mesh is either explicit, ``TetMesh(nodes, tets, h, box)``, or the Kuhn
-    lattice of ``n_cells`` grid cubes, ``TetMesh(nodes, None, h, box,
+    lattice of ``n_cells`` grid cubes, ``TetMesh(None, None, h, box,
     n_cells)`` as built by :func:`build_uniform_mesh`.  A lattice mesh
-    stores no tet array: tet ``6 * cube + pattern`` is Kuhn tet ``pattern``
-    of grid cube ``cube`` (cubes numbered x fastest, like the nodes), and
-    ``tets`` is only built on first access.
+    stores neither nodes nor tets, only the three per-axis coordinate
+    vectors ``box.lo[d] + h * arange(n_cells[d] + 1)``:
+
+    * node ``i + (nx + 1) * (j + (ny + 1) * k)`` sits at grid point
+      (i, j, k); :meth:`node_coords` gives the coordinates of any node ids,
+      and ``nodes`` computes the full (N, 3) array anew on each access;
+    * tet ``6 * cube + pattern`` is Kuhn tet ``pattern`` of grid cube
+      ``cube`` (cubes numbered x fastest, like the nodes), and ``tets`` is
+      only built on first access.
 
     Attributes
     ----------
@@ -106,29 +112,36 @@ class TetMesh:
         Number of grid cubes per axis.
     """
 
-    def __init__(self, nodes: np.ndarray, tets: np.ndarray | None, h: float,
-                 box: BoxDomain, n_cells: tuple[int, int, int] = (0, 0, 0)):
-        self.nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+    def __init__(self, nodes: np.ndarray | None, tets: np.ndarray | None,
+                 h: float, box: BoxDomain,
+                 n_cells: tuple[int, int, int] = (0, 0, 0)):
         self.h = h
         self.box = box
         self.n_cells = tuple(int(v) for v in n_cells)
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
-            raise ValueError("nodes must be (N, 3)")
         self._tets = None
         self._lattice = tets is None
         if self._lattice:
-            nx, ny, nz = self.n_cells
-            if min(self.n_cells) < 1 or len(self.nodes) != (nx + 1) * (ny + 1) * (nz + 1):
-                raise ValueError("a lattice mesh needs n_cells >= 1 and "
-                                 "(nx+1)(ny+1)(nz+1) nodes")
+            if nodes is not None:
+                raise ValueError("a lattice mesh (tets=None) stores no nodes; "
+                                 "pass nodes=None")
+            ext = box.extents
+            n = np.array(self.n_cells)
+            if n.min() < 1 or np.any(np.abs(n * h - ext) > 1e-9 * np.abs(ext)):
+                raise ValueError(f"h={h} does not divide the box extents "
+                                 f"{tuple(ext)} into {self.n_cells} cubes")
+            self._axes = [lo + h * np.arange(m + 1)
+                          for lo, m in zip(box.lo, self.n_cells)]
         else:
+            self._nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+            if self._nodes.ndim != 2 or self._nodes.shape[1] != 3:
+                raise ValueError("nodes must be (N, 3)")
             self._set_tets(tets)
 
     def _set_tets(self, tets) -> None:
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be (M, 4)")
-        if tets.size and (tets.min() < 0 or tets.max() >= len(self.nodes)):
+        if tets.size and (tets.min() < 0 or tets.max() >= self.n_nodes):
             raise ValueError("tet indices out of range")
         self._tets = tets
 
@@ -145,8 +158,32 @@ class TetMesh:
         return self._tets
 
     @property
+    def nodes(self) -> np.ndarray:
+        """(N, 3) node coordinates; a lattice computes them on each access."""
+        if self._lattice:
+            return self.node_coords(np.arange(self.n_nodes))
+        return self._nodes
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        if self._lattice:
+            nx, ny, nz = self.n_cells
+            return (nx + 1) * (ny + 1) * (nz + 1)
+        return len(self._nodes)
+
+    def node_coords(self, ids: np.ndarray) -> np.ndarray:
+        """Coordinates of the given node ids, shape ``ids.shape + (3,)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not self._lattice:
+            return self._nodes[ids]
+        nx, ny, _ = self.n_cells
+        xs, ys, zs = self._axes
+        out = np.empty(ids.shape + (3,))
+        out[..., 0] = xs[ids % (nx + 1)]
+        rest = ids // (nx + 1)
+        out[..., 1] = ys[rest % (ny + 1)]
+        out[..., 2] = zs[rest // (ny + 1)]
+        return out
 
     @property
     def n_tets(self) -> int:
@@ -189,7 +226,7 @@ class TetMesh:
 
     def tet_coords(self) -> np.ndarray:
         """Vertex coordinates per tet, shape (M, 4, 3)."""
-        return self.nodes[self.tets]
+        return self.node_coords(self.tets)
 
     def face_multiplicities(self) -> np.ndarray:
         """Occurrence count of every distinct triangular face.
@@ -208,7 +245,8 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     Every grid cube is split into 6 tetrahedra sharing the cube diagonal from
     its lowest to its highest corner; all cubes use the same diagonal
     direction so shared faces coincide and the mesh is conforming.  The
-    mesh stores only its nodes; the 6 n^3 tets are implicit in ``n_cells``.
+    mesh stores only its three axis coordinate vectors; the (n+1)^3 nodes
+    and 6 n^3 tets are implicit in ``n_cells``.
 
     Parameters
     ----------
@@ -223,23 +261,8 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    ext = box.extents
-    n_cells = np.round(ext / h).astype(np.int64)
-    if np.any(n_cells < 1) or np.any(np.abs(n_cells * h - ext) > 1e-9 * np.abs(ext)):
-        raise ValueError(
-            f"h={h} does not divide the box extents {tuple(ext)} evenly"
-        )
-    nx, ny, nz = (int(v) for v in n_cells)
-
-    # lexicographic nodes, x fastest
-    xs = np.asarray(box.lo)[0] + h * np.arange(nx + 1)
-    ys = np.asarray(box.lo)[1] + h * np.arange(ny + 1)
-    zs = np.asarray(box.lo)[2] + h * np.arange(nz + 1)
-    Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    return TetMesh(nodes=nodes, tets=None, h=float(h), box=box,
-                   n_cells=(nx, ny, nz))
+    n_cells = np.round(box.extents / h).astype(np.int64)
+    return TetMesh(None, None, h=float(h), box=box, n_cells=tuple(n_cells))
 
 
 def tet_volumes(mesh: TetMesh) -> np.ndarray:

@@ -12,6 +12,15 @@ from levelsurf import (
 
 BOX = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
+# (box, h) of lattices checked bitwise against meshgrid_nodes: a non-cubic
+# 6 x 4 x 2 grid, a box with negative lo and a step that is not a power of
+# two, and a grid of 7 z-planes.
+LATTICES = {
+    "6x4x2": (BoxDomain((0, 0, 0), (3, 2, 1)), 0.5),
+    "negative-lo": (BoxDomain((-1.3, -0.7, -2.1), (0.3, 0.9, -0.5)), 0.1),
+    "7-planes": (BoxDomain((-2.0, -1.5, -1.25), (2.0, 1.5, 0.25)), 0.25),
+}
+
 
 def sphere_surface(h, zc=0.0, radius=1.0, box=BOX):
     """(spec, surface) for the standard sphere setup at mesh size h."""
@@ -19,6 +28,47 @@ def sphere_surface(h, zc=0.0, radius=1.0, box=BOX):
     spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
     field = snap_small_values(interpolate_nodal(spec, mesh))
     return spec, extract_surface(mesh, field)
+
+
+def meshgrid_nodes(mesh):
+    """Nodes of a lattice mesh, (N, 3) x fastest, built with meshgrid.
+
+    The oracle for the node-free lattice: every coordinate a lattice mesh
+    reports must equal this array bitwise.
+    """
+    nx, ny, nz = mesh.n_cells
+    lo = np.asarray(mesh.box.lo)
+    xs = lo[0] + mesh.h * np.arange(nx + 1)
+    ys = lo[1] + mesh.h * np.arange(ny + 1)
+    zs = lo[2] + mesh.h * np.arange(nz + 1)
+    Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+
+def vertex_support_areas(surface):
+    """Area of the triangle patch around each vertex (|supp phi_i|)."""
+    _, _, two_area = surface.tri_geometry(nondegenerate=True)
+    out = np.zeros(surface.n_vertices)
+    np.add.at(out, surface.triangles.ravel(), np.repeat(0.5 * two_area, 3))
+    return out
+
+
+def dirichlet_energy(surface, coeffs):
+    """Integral of |in-plane gradient|^2 of the P1 field, by direct quadrature.
+
+    Independent of the cotangent assembly; equals <A c, c> up to roundoff.
+    The gradient is sum_i c_i grad(lambda_i), with grad(lambda_i) =
+    nh x (opposite edge) / (2 A).
+    """
+    p, n, two_area = surface.tri_geometry(nondegenerate=True)
+    nh = n / two_area[:, None]
+    c = np.asarray(coeffs, dtype=float)[surface.triangles]
+    grad = (
+        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
+        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
+        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
+    ) / two_area[:, None]
+    return float((np.einsum("ij,ij->i", grad, grad) * 0.5 * two_area).sum())
 
 
 def random_triangles(rng, n, scale=1.0, min_area=1e-6):

@@ -34,9 +34,10 @@ from levelsurf.surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
-    vertex_support_areas,
 )
 from levelsurf.tet_grid import BoxDomain, build_uniform_mesh
+
+from conftest import vertex_support_areas
 
 ZC_SWEEP = [0.03, 0.02, 0.008, 0.002, 0.0005, 0.00025, 0.00005, 0.0]
 H_SWEEP = [0.5, 0.25, 0.125, 0.0625]

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from levelsurf import level_set
 from levelsurf.level_set import (
     AnalyticLevelSet,
     NodalField,
@@ -15,9 +16,9 @@ from levelsurf.level_set import (
 )
 from levelsurf.surface_extract import SurfaceMesh
 from levelsurf.surface_fem import interpolate
-from levelsurf.tet_grid import BoxDomain, build_uniform_mesh
+from levelsurf.tet_grid import BoxDomain, TetMesh, build_uniform_mesh
 
-from conftest import BOX
+from conftest import BOX, LATTICES, meshgrid_nodes
 
 # Frozen oracle: u((1,1,1) projected to the unit sphere) = arctan(2/sqrt(3))
 # / (3 pi), evaluated with 50-digit arithmetic once and frozen here.
@@ -77,6 +78,41 @@ def test_interpolate_nodal_matches_values(mesh_h4):
     field = interpolate_nodal(spec, mesh_h4)
     npt.assert_array_equal(field.values, spec.evaluate(mesh_h4.nodes))
     assert len(field.values) == mesh_h4.n_nodes
+
+
+SAMPLE_SPECS = {
+    "sphere": SphereLevelSet(center=(0.1, -0.2, 0.3), radius=0.8),
+    "analytic": AnalyticLevelSet(
+        fn=lambda p: p[..., 0] ** 2 + np.sin(3.0 * p[..., 1])
+        - 0.5 * p[..., 2] - 0.1),
+}
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 100])
+@pytest.mark.parametrize("spec_name", sorted(SAMPLE_SPECS))
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_chunk_sampling_matches_meshgrid(name, spec_name, chunk, explicit,
+                                         monkeypatch):
+    box, h = LATTICES[name]
+    mesh = build_uniform_mesh(box, h)
+    spec = SAMPLE_SPECS[spec_name]
+    expected = spec.evaluate(meshgrid_nodes(mesh))
+    if explicit:
+        mesh = TetMesh(mesh.nodes, mesh.tets, h=mesh.h, box=box)
+    if chunk is not None:
+        monkeypatch.setattr(level_set, "_SAMPLE_CHUNK", chunk)
+    chunk = level_set._SAMPLE_CHUNK
+    sizes = []
+
+    def counted(points):
+        sizes.append(len(points))
+        return spec.evaluate(points)
+
+    field = interpolate_nodal(AnalyticLevelSet(fn=counted), mesh)
+    npt.assert_array_equal(field.values, expected)
+    full, rest = divmod(mesh.n_nodes, chunk)
+    assert sizes == [chunk] * full + ([rest] if rest else [])
 
 
 def test_nodal_field_validation():

@@ -1,0 +1,51 @@
+"""Peak memory of nodal sampling and error quadrature.
+
+tracemalloc counts numpy's array allocations, so the traced peak of a call
+is the most numpy memory alive at once inside it.  The bounds hold for a
+node-free lattice sampled in bounded chunks and for quadrature in fixed-size
+triangle blocks; sampling an (N, 3) node array at once peaks near 11x the
+nodal field, and whole-surface quadrature at h = 1/32 near 115 MiB.
+"""
+import tracemalloc
+
+import pytest
+
+from levelsurf import SphereLevelSet, build_uniform_mesh, interpolate_nodal
+from levelsurf.level_set import product_arctan_function
+from levelsurf.surface_fem import h1_semi_error, interpolate, l2_error
+
+from conftest import BOX, sphere_surface
+
+MIB = 2.0 ** 20
+H = 0.03125
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_sampling_peak_is_about_one_field():
+    spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
+    field_bytes = 8 * build_uniform_mesh(BOX, H).n_nodes
+    peak = traced_peak(lambda: interpolate_nodal(spec, build_uniform_mesh(BOX, H)))
+    assert peak < 2 * field_bytes, f"{peak / field_bytes:.2f} x the field"
+
+
+@pytest.fixture(scope="module")
+def sphere_h32():
+    return sphere_surface(H)
+
+
+@pytest.mark.parametrize("error", [l2_error, h1_semi_error])
+def test_error_quadrature_peak_is_bounded(sphere_h32, error):
+    spec, surf = sphere_h32
+    u = product_arctan_function()
+    coeffs = interpolate(u, spec, surf)
+    peak = traced_peak(lambda: error(u, spec, surf, coeffs))
+    assert peak < 16 * MIB, f"{peak / MIB:.1f} MiB"

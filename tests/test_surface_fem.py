@@ -9,6 +9,7 @@ from levelsurf.level_set import (
     coordinate_function,
     product_arctan_function,
 )
+from levelsurf import surface_fem
 from levelsurf.surface_extract import SurfaceMesh
 from levelsurf.surface_fem import (
     TRI_QP_BARY,
@@ -16,13 +17,13 @@ from levelsurf.surface_fem import (
     assemble_mass,
     assemble_stiffness,
     diag_scale,
-    dirichlet_energy,
     h1_semi_error,
     interpolate,
     l2_error,
-    vertex_support_areas,
 )
 from levelsurf.level_set import SurfaceFunction
+
+from conftest import dirichlet_energy, vertex_support_areas
 
 MASS_BOUND = 2.0 * (2.0 + np.sqrt(2.0))  # 6.8284...
 
@@ -346,6 +347,63 @@ def test_h1_matches_chain_rule_oracle(sphere_h4):
     fd = h1_semi_error(u, spec, surf, coeffs)
     analytic = _h1_error_chain_rule(u, spec, surf, coeffs)
     npt.assert_allclose(fd, analytic, rtol=1e-6)
+
+
+def _whole_surface_errors(u, spec, surface, coeffs, fd_step_rel=1e-6):
+    """(L2, H1-seminorm) errors with the quadrature over all triangles at once.
+
+    The oracle for the blocked quadrature: same arithmetic per triangle,
+    same summation of the per-triangle array.
+    """
+    def ext(pts):
+        return u.value(spec.closest_point(pts.reshape(-1, 3))).reshape(pts.shape[:2])
+
+    p, n, two_area = surface.tri_geometry(nondegenerate=True)
+    c = coeffs[surface.triangles]
+    qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
+    vh = c @ TRI_QP_BARY.T
+    l2_tri = ((ext(qp) - vh) ** 2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
+
+    nh = n / two_area[:, None]
+    grad = (
+        c[:, [0]] * np.cross(nh, p[:, 2] - p[:, 1])
+        + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
+        + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
+    ) / two_area[:, None]
+    b1 = p[:, 1] - p[:, 0]
+    b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+    b2 = np.cross(nh, b1)
+    gv1 = np.einsum("ij,ij->i", grad, b1)
+    gv2 = np.einsum("ij,ij->i", grad, b2)
+    edges = np.stack(
+        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
+    )
+    diam = np.linalg.norm(edges, axis=2).max(axis=1)
+    step = (fd_step_rel * diam)[:, None, None]
+    du1 = (ext(qp + step * b1[:, None, :]) - ext(qp - step * b1[:, None, :])) / (
+        2.0 * step[:, :, 0]
+    )
+    du2 = (ext(qp + step * b2[:, None, :]) - ext(qp - step * b2[:, None, :])) / (
+        2.0 * step[:, :, 0]
+    )
+    diff2 = (du1 - gv1[:, None]) ** 2 + (du2 - gv2[:, None]) ** 2
+    h1_tri = (diff2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
+    return float(np.sqrt(l2_tri.sum())), float(np.sqrt(h1_tri.sum()))
+
+
+# h = 1/4 sphere, F = 1656 triangles: F below the block, F = 3 blocks
+# exactly, 3 blocks and a remainder, and 236 blocks of an odd size plus 4.
+@pytest.mark.parametrize("block", [4096, 552, 500, 7])
+@pytest.mark.parametrize("u", [product_arctan_function(), coordinate_function(0)],
+                         ids=["product-arctan", "x"])
+def test_blocked_errors_match_whole_surface(sphere_h4, u, block, monkeypatch):
+    spec, surf = sphere_h4
+    assert surf.n_triangles == 1656
+    monkeypatch.setattr(surface_fem, "_QUAD_BLOCK", block)
+    coeffs = interpolate(u, spec, surf)
+    ref_l2, ref_h1 = _whole_surface_errors(u, spec, surf, coeffs)
+    assert l2_error(u, spec, surf, coeffs) == ref_l2
+    assert h1_semi_error(u, spec, surf, coeffs) == ref_h1
 
 
 def test_interpolation_orders_loose(sphere_h4, sphere_h8):

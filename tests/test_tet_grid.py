@@ -13,6 +13,8 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
+from conftest import LATTICES, meshgrid_nodes
+
 # Frozen oracle values (brute force over all angles of the cube subdivision,
 # and closed forms for the regular tetrahedron).
 KUHN_ALPHA = np.sqrt(3.0) * (np.sqrt(2.0) + 1.0)          # ~4.18154
@@ -158,6 +160,19 @@ def test_lexicographic_node_order():
     npt.assert_array_equal(mesh.nodes[4], [0, 0, 1])
 
 
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_node_coords_match_meshgrid(name):
+    box, h = LATTICES[name]
+    mesh = build_uniform_mesh(box, h)
+    ref = meshgrid_nodes(mesh)
+    assert mesh.n_nodes == len(ref)
+    npt.assert_array_equal(mesh.nodes, ref)
+    ids = np.random.default_rng(5).integers(0, mesh.n_nodes, (7, 4))
+    npt.assert_array_equal(mesh.node_coords(ids), ref[ids])
+    npt.assert_array_equal(mesh.tet_coords(), ref[mesh.tets])
+    assert mesh.nodes is not mesh.nodes        # computed, never cached
+
+
 def test_main_diagonal_shared():
     # All 6 tets of the Kuhn split contain the cube diagonal 0 -> 7.
     mesh = unit_cube_mesh()
@@ -197,11 +212,13 @@ def test_lattice_tets_match_per_cube_loop():
 def test_lattice_mesh_validation():
     nodes = np.zeros((8, 3))
     box = BoxDomain((0, 0, 0), (1, 1, 1))
-    assert TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1)).n_tets == 6
-    with pytest.raises(ValueError):
-        TetMesh(nodes, None, h=1.0, box=box, n_cells=(2, 1, 1))
-    with pytest.raises(ValueError):
-        TetMesh(nodes, None, h=1.0, box=box)
+    assert TetMesh(None, None, h=1.0, box=box, n_cells=(1, 1, 1)).n_tets == 6
+    with pytest.raises(ValueError, match="does not divide"):
+        TetMesh(None, None, h=1.0, box=box, n_cells=(2, 1, 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        TetMesh(None, None, h=1.0, box=box)
+    with pytest.raises(ValueError, match="stores no nodes"):
+        TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1))
     with pytest.raises(ValueError):
         regular_tet_mesh().cube_tets([0])
     with pytest.raises(ValueError, match="out of range"):
