@@ -10,10 +10,14 @@ lower-entry rank, in the same floating-point order as a row-by-row loop.
 Its triangular factors are wrapped once in SuperLU solvers (natural
 order, no pivoting, no fill), so each preconditioner application is two
 substitution sweeps.  Extreme eigenvalues come from
-Lanczos with full reorthogonalization — directly for the largest, via a
-sparse LU of the slightly regularized matrix for the smallest, so that a
-singular matrix is never factorized.  That shift-invert LU uses a
-symmetric minimum-degree ordering with diagonal pivots.  Effective
+one Lanczos routine with full reorthogonalization.  The largest is taken
+from a run on the matrix itself.  The smallest of a positive definite
+matrix is taken from the same Krylov basis when it converges within twice
+the steps the largest needed; otherwise, and always for the smallest
+nonzero eigenvalue of a deflated semidefinite matrix, it comes from a
+shift-invert run through a sparse LU of the slightly regularized matrix,
+so that a singular matrix is never factorized.  That shift-invert LU uses
+a symmetric minimum-degree ordering with diagonal pivots.  Effective
 condition numbers deflate a supplied kernel vector and report
 lambda_max / lambda_2.
 """
@@ -373,8 +377,12 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
 # Lanczos extreme eigenvalues
 
 
-def _top_ritz(alphas, betas, n_pairs):
-    """Largest Ritz values and their tridiagonal eigenvectors."""
+def _end_ritz(alphas, betas, n_pairs, bottom):
+    """Largest Ritz values and their tridiagonal eigenvectors, descending.
+
+    With ``bottom`` the smallest Ritz pair is appended as the last column.
+    Past 64 steps only the wanted pairs are computed.
+    """
     a = np.asarray(alphas)
     b = np.asarray(betas)
     k = len(a)
@@ -386,18 +394,37 @@ def _top_ritz(alphas, betas, n_pairs):
             vals, vecs = sla.eigh_tridiagonal(
                 a, b, select="i", select_range=(k - n_pairs, k - 1)
             )
+            if bottom:
+                low, low_vec = sla.eigh_tridiagonal(
+                    a, b, select="i", select_range=(0, 0)
+                )
+                vals = np.concatenate((low, vals))
+                vecs = np.hstack((low_vec, vecs))
         except sla.LinAlgError:
             vals, vecs = sla.eigh_tridiagonal(a, b)
     order = np.argsort(vals)[::-1][:n_pairs]
+    if bottom:
+        order = np.append(order, np.argmin(vals))
     return vals[order], vecs[:, order]
 
 
-def _lanczos_top(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None):
-    """Top Ritz pairs of a symmetric operator, full reorthogonalization.
+def _lanczos(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None,
+             bottom=False):
+    """Extreme Ritz pairs of a symmetric operator, full reorthogonalization.
 
-    Stops when the residual bound beta * |last component| of every tracked
-    pair falls below tol * |value|, or on Krylov breakdown (invariant
-    subspace, estimates exact).  Returns (values, vectors, converged_flags).
+    Tracks the top ``n_pairs`` Ritz pairs and, with ``bottom``, also the
+    smallest one.  A pair has converged when its residual bound
+    beta * |last component| falls below tol * |value|.  The run stops when
+    every tracked pair has converged, or on Krylov breakdown (invariant
+    subspace, estimates exact).  If the top pairs converge first, at step
+    k_top, the bottom pair gets until step 2 k_top: the dense
+    reorthogonalization costs O(k^2 n), so an unconverged bottom end costs
+    at most three times the top run.
+
+    Returns (top values, top Ritz vectors, bottom value), the top pairs
+    descending; the bottom value is None unless it was asked for and
+    converged.  Raises EigNonConvergence, with the best top value, if the
+    top pairs do not converge within ``maxiter`` steps.
     """
     maxiter = min(maxiter, n)
     V = np.empty((maxiter + 1, n))
@@ -410,6 +437,8 @@ def _lanczos_top(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None):
     V[0] = v / nv
     alphas: list[float] = []
     betas: list[float] = []
+    alpha_max = beta_max = 0.0
+    k_top = None
 
     for k in range(maxiter):
         w = apply_op(V[k])
@@ -422,22 +451,32 @@ def _lanczos_top(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None):
             w = project(w)
         beta = float(np.linalg.norm(w))
 
-        scale = max(map(abs, alphas)) + (max(betas) if betas else 0.0)
+        alpha_max = max(alpha_max, abs(alphas[-1]))
+        exact = beta <= 1e-14 * (alpha_max + beta_max) or k + 1 == n
         check = (k + 1 >= n_pairs) and (
-            k < 64 or (k % 8 == 0) or (k == maxiter - 1) or beta <= 1e-14 * scale
+            k < 64 or (k % 8 == 0) or (k == maxiter - 1) or exact
         )
         if check:
-            vals, vecs = _top_ritz(alphas, betas, n_pairs)
+            vals, vecs = _end_ritz(alphas, betas, n_pairs, bottom)
             bounds = beta * np.abs(vecs[-1, :])
             ok = bounds <= tol * np.maximum(np.abs(vals), 1e-300)
-            if np.all(ok) or beta <= 1e-14 * scale or k + 1 == n:
+            if k_top is None and np.all(ok[:n_pairs]):
+                k_top = k + 1
+            if exact or np.all(ok) or (
+                k_top is not None and (k + 1 >= 2 * k_top or k == maxiter - 1)
+            ):
+                low = None
+                if bottom:
+                    if exact or ok[-1]:
+                        low = float(vals[-1])
+                    vals, vecs = vals[:-1], vecs[:, :-1]
                 ritz = (V[: k + 1].T @ vecs).T
-                exact = beta <= 1e-14 * scale or k + 1 == n
-                return vals, ritz, np.logical_or(ok, exact)
+                return vals, ritz, low
         betas.append(beta)
+        beta_max = max(beta_max, beta)
         V[k + 1] = w / beta
 
-    vals, vecs = _top_ritz(alphas, betas[:-1], n_pairs)
+    vals, _ = _end_ritz(alphas, betas[:-1], n_pairs, False)
     raise EigNonConvergence(
         f"Lanczos did not converge within {maxiter} iterations",
         best=float(vals[0]),
@@ -464,10 +503,12 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
 
     which="max" runs Lanczos on A itself.  which="min" runs Lanczos on the
     inverse of A + delta*I (sparse LU; delta a tiny multiple of |A| so a
-    singular input is never factorized) and returns 1/mu - delta.  With
-    ``deflate`` the supplied near-kernel direction is projected out and any
-    Ritz mode still aligned with it is discarded, which turns "min" into
-    the smallest nonzero eigenvalue.
+    singular input is never factorized) and returns 1/mu - delta: the
+    bottom of the spectrum becomes the well-separated top of the inverse's.
+    :func:`spd_cond` falls back to this run when the bottom end does not
+    converge in its direct run.  With ``deflate`` the supplied near-kernel direction
+    is projected out and any Ritz mode still aligned with it is discarded,
+    which turns "min" into the smallest nonzero eigenvalue.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -480,11 +521,8 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
         khat, project = _deflation_projector(deflate)
 
     if which == "max":
-        vals, _, ok = _lanczos_top(lambda v: A @ v, n, rng, tol, maxiter,
-                                   n_pairs=1, project=project)
-        if not ok[0]:
-            raise EigNonConvergence("lambda_max estimate not converged",
-                                    best=float(vals[0]))
+        vals, _, _ = _lanczos(lambda v: A @ v, n, rng, tol, maxiter,
+                              project=project)
         return float(vals[0])
 
     if which != "min":
@@ -504,14 +542,11 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
                    options=dict(SymmetricMode=True))
 
     n_pairs = 2 if khat is not None else 1
-    vals, ritz, ok = _lanczos_top(lu.solve, n, rng, tol, maxiter,
-                                  n_pairs=n_pairs, project=project)
-    for mu, y, conv in zip(vals, ritz, ok):
+    vals, ritz, _ = _lanczos(lu.solve, n, rng, tol, maxiter,
+                             n_pairs=n_pairs, project=project)
+    for mu, y in zip(vals, ritz):
         if khat is not None and abs(float(khat @ y)) > 0.5:
             continue  # kernel mode
-        if not conv:
-            raise EigNonConvergence("smallest-eigenvalue estimate not converged",
-                                    best=float(1.0 / mu - delta))
         if mu <= 0.0:
             raise EigNonConvergence(
                 "inverse operator returned a non-positive Ritz value", best=None
@@ -547,9 +582,24 @@ def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
 
 
 def spd_cond(A, tol: float = 1e-6, seed: int = 0) -> CondEstimate:
-    """lambda_max / lambda_min for a positive definite matrix."""
-    lam_max = eig_extreme(A, "max", tol=tol, seed=seed)
-    lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
+    """lambda_max / lambda_min for a positive definite matrix.
+
+    Both ends come from one Lanczos run on A itself.  Once lambda_max has
+    converged at step k_top, the run continues for lambda_min up to step
+    2 k_top; if lambda_min has not converged by then (a badly conditioned
+    A), it is computed by the shift-invert run of
+    ``eig_extreme(A, "min")`` instead, and only then is A factored.
+    Raises EigNonConvergence, with the best lambda_max, if lambda_max does
+    not converge within min(n, 600) steps.
+    """
+    A = _as_csr(A)
+    n = A.shape[0]
+    rng = np.random.default_rng(seed)
+    vals, _, lam_min = _lanczos(lambda v: A @ v, n, rng, tol, min(n, 600),
+                                bottom=True)
+    lam_max = vals[0]
+    if lam_min is None:
+        lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
     if lam_min <= 0.0 or lam_min < abs(lam_max) * 1e-300:
         cond = float("inf")
     else:

@@ -278,43 +278,55 @@ def _check_nondegenerate(vol: np.ndarray, scale: float) -> None:
         raise ValueError(f"degenerate tetrahedron at index {bad[0]}")
 
 
-def _enclosing_ball_diameters(p: np.ndarray) -> np.ndarray:
+def _face_frames(p: np.ndarray):
+    """Corner a, edges u = b - a and v = c - a, and normal u x v of each face.
+
+    ``p`` has shape (M, 4, 3); face f is the triple (a, b, c) =
+    ``_OPP_FACES[f]``, opposite vertex f.  Each array is (M, 4, 3).
+    """
+    f = p[:, _OPP_FACES]
+    a = f[:, :, 0]
+    u = f[:, :, 1] - a
+    v = f[:, :, 2] - a
+    return a, u, v, np.cross(u, v)
+
+
+def _enclosing_ball_diameters(p: np.ndarray, a: np.ndarray, u: np.ndarray,
+                              v: np.ndarray) -> np.ndarray:
     """Diameter of the smallest ball containing each tet.
 
-    ``p`` has shape (M, 4, 3).  Candidates: balls spanned by each edge
-    (diameter = edge), circumcircles of each face, and the circumsphere;
-    the smallest candidate containing all four vertices wins.
+    ``p`` has shape (M, 4, 3) and (a, u, v) are its faces' frames.
+    Candidates: balls spanned by each edge (diameter = edge), circumcircles
+    of each face, and the circumsphere; the smallest candidate containing
+    all four vertices wins.
     """
     M = len(p)
     tol = 1.0 + 1e-12
     best = np.full(M, np.inf)
 
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for a, b in pairs:
-        c = 0.5 * (p[:, a] + p[:, b])
-        r = 0.5 * np.linalg.norm(p[:, a] - p[:, b], axis=1)
+    for i, j in pairs:
+        c = 0.5 * (p[:, i] + p[:, j])
+        r = 0.5 * np.linalg.norm(p[:, i] - p[:, j], axis=1)
         ok = np.ones(M, dtype=bool)
         for o in range(4):
-            if o in (a, b):
+            if o in (i, j):
                 continue
             ok &= np.linalg.norm(p[:, o] - c, axis=1) <= r * tol + 1e-300
         best = np.where(ok, np.minimum(best, r), best)
 
-    for tri in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]):
-        o = ({0, 1, 2, 3} - set(tri)).pop()
-        u = p[:, tri[1]] - p[:, tri[0]]
-        v = p[:, tri[2]] - p[:, tri[0]]
-        uu = np.einsum("ij,ij->i", u, u)
-        vv = np.einsum("ij,ij->i", v, v)
-        uv = np.einsum("ij,ij->i", u, v)
-        det = uu * vv - uv * uv
-        safe = np.abs(det) > 1e-300
-        alpha = np.where(safe, (0.5 * (uu * vv - vv * uv)) / np.where(safe, det, 1.0), 0.0)
-        beta = np.where(safe, (0.5 * (uu * vv - uu * uv)) / np.where(safe, det, 1.0), 0.0)
-        c = p[:, tri[0]] + alpha[:, None] * u + beta[:, None] * v
-        r = np.linalg.norm(p[:, tri[0]] - c, axis=1)
-        ok = safe & (np.linalg.norm(p[:, o] - c, axis=1) <= r * tol + 1e-300)
-        best = np.where(ok, np.minimum(best, r), best)
+    # circumcircle of face f; the vertex it must also contain is vertex f
+    uu = np.einsum("...j,...j->...", u, u)
+    vv = np.einsum("...j,...j->...", v, v)
+    uv = np.einsum("...j,...j->...", u, v)
+    det = uu * vv - uv * uv
+    safe = np.abs(det) > 1e-300
+    alpha = np.where(safe, (0.5 * (uu * vv - vv * uv)) / np.where(safe, det, 1.0), 0.0)
+    beta = np.where(safe, (0.5 * (uu * vv - uu * uv)) / np.where(safe, det, 1.0), 0.0)
+    c = a + alpha[..., None] * u + beta[..., None] * v
+    r = np.linalg.norm(a - c, axis=2)
+    ok = safe & (np.linalg.norm(p - c, axis=2) <= r * tol + 1e-300)
+    best = np.minimum(best, np.where(ok, r, np.inf).min(axis=1))
 
     # circumsphere: 2 (p_i - p_0) . c = |p_i|^2 - |p_0|^2
     A = 2.0 * (p[:, 1:] - p[:, :1])
@@ -340,14 +352,12 @@ def shape_regularity(mesh: TetMesh, per_tet: bool = False):
     vol = np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6.0
     _check_nondegenerate(vol, scale=max(mesh.h, 1e-30))
 
-    area_sum = np.zeros(len(p))
-    for tri in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]):
-        u = p[:, tri[1]] - p[:, tri[0]]
-        v = p[:, tri[2]] - p[:, tri[0]]
-        area_sum += 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
+    a, u, v, n = _face_frames(p)
+    area = 0.5 * np.linalg.norm(n, axis=2)
+    area_sum = area[:, 3] + area[:, 2] + area[:, 1] + area[:, 0]
     inscribed = 2.0 * 3.0 * vol / area_sum
 
-    ratio = _enclosing_ball_diameters(p) / inscribed
+    ratio = _enclosing_ball_diameters(p, a, u, v) / inscribed
     return ratio if per_tet else float(ratio.max())
 
 
@@ -383,22 +393,16 @@ def tet_edge_face_angles(mesh: TetMesh) -> np.ndarray:
     radians, shape (M, 12).
     """
     p = mesh.tet_coords()
-    out = np.empty((len(p), 12))
-    col = 0
-    for v in range(4):
-        tri = _OPP_FACES[v]
-        n = np.cross(p[:, tri[1]] - p[:, tri[0]], p[:, tri[2]] - p[:, tri[0]])
-        nn = np.linalg.norm(n, axis=1)
-        if np.any(nn <= 1e-300):
-            raise ValueError("degenerate tetrahedron face")
-        n = n / nn[:, None]
-        for w in tri:
-            d = p[:, w] - p[:, v]
-            d = d / np.linalg.norm(d, axis=1)[:, None]
-            s = np.abs(np.einsum("ij,ij->i", d, n))
-            out[:, col] = np.arcsin(np.clip(s, -1.0, 1.0))
-            col += 1
-    return out
+    n = _face_frames(p)[3]
+    nn = np.linalg.norm(n, axis=2)
+    if np.any(nn <= 1e-300):
+        raise ValueError("degenerate tetrahedron face")
+    n = n / nn[..., None]
+    # d[:, v, i]: unit edge from vertex v to vertex i of its opposite face
+    d = p[:, _OPP_FACES] - p[:, :, None]
+    d = d / np.linalg.norm(d, axis=3)[..., None]
+    s = np.abs(np.einsum("...ij,...j->...i", d, n))
+    return np.arcsin(np.clip(s, -1.0, 1.0)).reshape(len(p), 12)
 
 
 def min_angle_theta(mesh: TetMesh) -> float:
