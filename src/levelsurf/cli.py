@@ -99,6 +99,18 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}"
+        )
+    return value
+
+
 def _parse_box(text: str) -> BoxDomain:
     values = _parse_floats(text, "box")
     if len(values) != 6:
@@ -142,7 +154,7 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
                        metavar="XMIN,YMIN,ZMIN,XMAX,YMAX,ZMAX",
                        help="bulk domain (default [-2,2]^3)")
     if "tol" in names:
-        p.add_argument("--tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=_parse_tol, default=1e-8,
                        help="PCG relative-residual tolerance")
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0,

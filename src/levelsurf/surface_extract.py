@@ -2,11 +2,16 @@
 
 Each tetrahedron with a strict sign pattern is cut by the plane where the
 linear interpolant vanishes: one lone sign gives a triangle, a 2+2 split
-gives a convex planar quadrilateral.  Cut vertices live on grid edges and
-are shared between neighbouring tets through a global edge key, which makes
-the triangulation watertight by construction.  Quadrilaterals are split
-along the diagonal at their largest inner angle, which keeps all surface
-angles bounded away from pi.
+gives a convex planar quadrilateral.  The cuts come from one marching-
+tetrahedra table, ``_PATTERNS``: row c, for the sign code c (bit i set when
+local node i has phi > 0), lists the cut edges in cyclic polygon order,
+oriented so that on a positively oriented tet the polygon normal points
+from phi < 0 to phi > 0.  Row 15 - c holds the same cut in reverse order,
+so a negatively oriented tet takes that row.  Cut vertices live on grid
+edges and are shared between neighbouring tets through a global edge key,
+which makes the triangulation watertight by construction.  Quadrilaterals
+are split along the diagonal at their largest inner angle, which keeps all
+surface angles bounded away from pi.
 
 :func:`extract_surface` returns the final :class:`SurfaceMesh`;
 :func:`extract_raw` returns the cut polygons before the split as a
@@ -188,60 +193,33 @@ def _candidate_tets(mesh: TetMesh, vals: np.ndarray):
     return tet_ids, mesh.cube_tets(cubes)
 
 
-def _cut_polygons(mesh: TetMesh, field: NodalField):
-    """Classify cut tets and list their cut edges in cyclic polygon order."""
-    if field.mesh is not mesh and field.mesh.n_nodes != mesh.n_nodes:
-        raise ValueError("field does not match the mesh")
-    vals = field.values
-    if np.any(vals == 0.0):
-        raise ValueError(
-            "field has exact nodal zeros; apply snap_small_values first"
-        )
-
-    tet_ids, tet_nodes = _candidate_tets(mesh, vals)
-    pos = vals[tet_nodes] > 0.0
-    npos = pos.sum(axis=1)
-
-    tri_mask = (npos == 1) | (npos == 3)
-    tri_rows = np.flatnonzero(tri_mask)
-    quad_rows = np.flatnonzero(npos == 2)
-
-    # triangles: lone-sign vertex against the other three
-    tp = pos[tri_rows]
-    lone_is_pos = npos[tri_mask] == 1
-    lone = np.where(lone_is_pos, tp.argmax(axis=1), (~tp).argmax(axis=1))
-    others = np.argsort(np.arange(4)[None, :] == lone[:, None], axis=1, kind="stable")[:, :3]
-    others = np.sort(others, axis=1)
-    g = tet_nodes[tri_rows]
-    tri_edges = np.stack(
-        [
-            np.stack([np.take_along_axis(g, lone[:, None], 1)[:, 0],
-                      np.take_along_axis(g, others[:, [k]], 1)[:, 0]], axis=1)
-            for k in range(3)
-        ],
-        axis=1,
-    )  # (Nt, 3, 2) global node pairs
-
-    # quads: cut edges pair each positive with each negative node; the cyclic
-    # order (p1n1, p1n2, p2n2, p2n1) makes consecutive corners share a face
-    qp = pos[quad_rows]
-    pidx = np.argsort(~qp, axis=1, kind="stable")[:, :2]
-    nidx = np.argsort(qp, axis=1, kind="stable")[:, :2]
-    gq = tet_nodes[quad_rows]
-    take = lambda idx: np.take_along_axis(gq, idx, 1)
-    p1, p2 = take(pidx[:, [0]])[:, 0], take(pidx[:, [1]])[:, 0]
-    n1, n2 = take(nidx[:, [0]])[:, 0], take(nidx[:, [1]])[:, 0]
-    quad_edges = np.stack(
-        [
-            np.stack([p1, n1], 1),
-            np.stack([p1, n2], 1),
-            np.stack([p2, n2], 1),
-            np.stack([p2, n1], 1),
-        ],
-        axis=1,
-    )  # (Nq, 4, 2)
-
-    return tet_ids[tri_rows], tri_edges, tet_ids[quad_rows], quad_edges
+# Row c: the cut edges of sign code c as local node pairs, in cyclic order
+# and oriented for a positive tet.  A lone sign pairs with the other three
+# nodes in ascending order, and the triangle repeats its last corner; a 2+2
+# split p1 < p2 (positive), n1 < n2 cuts (p1n1, p1n2, p2n2, p2n1), reversed
+# where the orientation asks for it.  Rows 0 and 15 cut nothing.
+_PATTERNS = np.array(
+    [
+        [[0, 0], [0, 0], [0, 0], [0, 0]],  # 0000
+        [[0, 1], [0, 3], [0, 2], [0, 2]],  # 0001
+        [[1, 0], [1, 2], [1, 3], [1, 3]],  # 0010
+        [[0, 2], [1, 2], [1, 3], [0, 3]],  # 0011
+        [[2, 0], [2, 3], [2, 1], [2, 1]],  # 0100
+        [[0, 1], [0, 3], [2, 3], [2, 1]],  # 0101
+        [[1, 0], [2, 0], [2, 3], [1, 3]],  # 0110
+        [[3, 0], [3, 2], [3, 1], [3, 1]],  # 0111
+        [[3, 0], [3, 1], [3, 2], [3, 2]],  # 1000
+        [[0, 1], [3, 1], [3, 2], [0, 2]],  # 1001
+        [[1, 0], [1, 2], [3, 2], [3, 0]],  # 1010
+        [[2, 0], [2, 1], [2, 3], [2, 3]],  # 1011
+        [[2, 0], [3, 0], [3, 1], [2, 1]],  # 1100
+        [[1, 0], [1, 3], [1, 2], [1, 2]],  # 1101
+        [[0, 1], [0, 2], [0, 3], [0, 3]],  # 1110
+        [[0, 0], [0, 0], [0, 0], [0, 0]],  # 1111
+    ],
+    dtype=np.int64,
+)
+_IS_TRIANGLE = (_PATTERNS[:, 2] == _PATTERNS[:, 3]).all(axis=1)
 
 
 def _tet_gradients(mesh: TetMesh, vals: np.ndarray, tet_ids: np.ndarray) -> np.ndarray:
@@ -257,35 +235,39 @@ def _tet_gradients(mesh: TetMesh, vals: np.ndarray, tet_ids: np.ndarray) -> np.n
 def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
     """Cut all tets with a strict sign pattern into oriented planar polygons.
 
-    Returns a RawSurface whose cut vertices are deduplicated across tets by
-    their global grid-edge key.  A field with one sign everywhere yields an
-    empty surface; exact nodal zeros raise (snap first).
+    Cut vertices are deduplicated across tets by their global grid-edge
+    key.  Kuhn lattice tets are all positively oriented; on an explicit mesh
+    the sign of each cut tet's triple product picks row c or 15 - c.  A
+    field with one sign everywhere yields an empty surface; exact nodal
+    zeros and cut tets of zero volume raise ValueError.
     """
-    tri_tets, tri_edges, quad_tets, quad_edges = _cut_polygons(mesh, field)
+    if field.mesh is not mesh and field.mesh.n_nodes != mesh.n_nodes:
+        raise ValueError("field does not match the mesh")
     vals = field.values
-    n_nodes = mesh.n_nodes
-
-    all_edges = np.concatenate(
-        [tri_edges.reshape(-1, 2), quad_edges.reshape(-1, 2)], axis=0
-    )
-    if len(all_edges) == 0:
-        return RawSurface(
-            vertices=np.zeros((0, 3)),
-            vertex_edges=np.zeros((0, 2), np.int64),
-            vertex_t=np.zeros(0),
-            tris=np.zeros((0, 3), np.int64),
-            tri_parent=np.zeros(0, np.int64),
-            quads=np.zeros((0, 4), np.int64),
-            quad_parent=np.zeros(0, np.int64),
+    if np.any(vals == 0.0):
+        raise ValueError(
+            "field has exact nodal zeros; apply snap_small_values first"
         )
 
-    a = np.minimum(all_edges[:, 0], all_edges[:, 1])
-    b = np.maximum(all_edges[:, 0], all_edges[:, 1])
-    keys = a * np.int64(n_nodes) + b
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    tet_ids, tet_nodes = _candidate_tets(mesh, vals)
+    code = (vals[tet_nodes] > 0.0) @ np.array([1, 2, 4, 8])
+    cut = (code > 0) & (code < 15)
+    tet_ids, tet_nodes, code = tet_ids[cut], tet_nodes[cut], code[cut]
+    if not mesh.is_kuhn_lattice:
+        e = mesh.node_coords(tet_nodes[:, 1:]) - mesh.node_coords(tet_nodes[:, :1])
+        vol = np.einsum("ij,ij->i", np.cross(e[:, 0], e[:, 1]), e[:, 2])
+        if np.any(vol == 0.0):
+            raise ValueError("cut tetrahedron with zero volume")
+        code = np.where(vol < 0.0, 15 - code, code)
 
-    ua = (uniq // n_nodes).astype(np.int64)
-    ub = (uniq % n_nodes).astype(np.int64)
+    ends = tet_nodes[np.arange(len(code))[:, None, None], _PATTERNS[code]]
+    n_nodes = np.int64(mesh.n_nodes)
+    a = np.minimum(ends[..., 0], ends[..., 1])
+    b = np.maximum(ends[..., 0], ends[..., 1])
+    uniq, inverse = np.unique((a * n_nodes + b).ravel(), return_inverse=True)
+    polys = inverse.reshape(-1, 4)
+
+    ua, ub = uniq // n_nodes, uniq % n_nodes
     fa, fb = vals[ua], vals[ub]
     if np.any(fa * fb >= 0):
         raise AssertionError("internal error: cut edge without sign change")
@@ -293,33 +275,15 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
     points = ((1.0 - t)[:, None] * mesh.node_coords(ua)
               + t[:, None] * mesh.node_coords(ub))
 
-    n_tri = len(tri_tets)
-    tris = inverse[: 3 * n_tri].reshape(-1, 3).astype(np.int64)
-    quads = inverse[3 * n_tri:].reshape(-1, 4).astype(np.int64)
-
-    # orient: polygon normal (from the cyclic order) must point along the
-    # field gradient, i.e. from phi < 0 to phi > 0
-    if n_tri:
-        g = _tet_gradients(mesh, vals, tri_tets)
-        p = points[tris]
-        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        flip = np.einsum("ij,ij->i", nrm, g) < 0
-        tris[flip] = tris[flip][:, [0, 2, 1]]
-    if len(quad_tets):
-        g = _tet_gradients(mesh, vals, quad_tets)
-        p = points[quads]
-        nrm = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 1])
-        flip = np.einsum("ij,ij->i", nrm, g) < 0
-        quads[flip] = quads[flip][:, [0, 3, 2, 1]]
-
+    tri = _IS_TRIANGLE[code]
     return RawSurface(
         vertices=points,
         vertex_edges=np.column_stack([ua, ub]),
         vertex_t=t,
-        tris=tris,
-        tri_parent=tri_tets.astype(np.int64),
-        quads=quads,
-        quad_parent=quad_tets.astype(np.int64),
+        tris=polys[tri, :3],
+        tri_parent=tet_ids[tri],
+        quads=polys[~tri],
+        quad_parent=tet_ids[~tri],
     )
 
 
@@ -364,10 +328,7 @@ def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     idx = (m[:, None] + np.arange(4)[None, :]) % 4
     rot = np.take_along_axis(quad_ids, idx, axis=1)
-    out = np.empty((len(quad_ids), 2, 3), dtype=np.int64)
-    out[:, 0] = rot[:, [0, 1, 2]]
-    out[:, 1] = rot[:, [0, 2, 3]]
-    return out
+    return rot[:, [[0, 1, 2], [0, 2, 3]]]
 
 
 def split_quad(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -385,31 +346,17 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
     pure function of the inputs.
     """
     raw = extract_raw(mesh, field)
-    pts = raw.vertices
-
-    parts = [raw.tris]
-    parents = [raw.tri_parent]
-    halves = [np.zeros(len(raw.tris), np.int64)]
-    from_quad = [np.zeros(len(raw.tris), bool)]
-    if len(raw.quads):
-        split = _split_quads_batch(raw.quads, pts)
-        parts.append(split.reshape(-1, 3))
-        parents.append(np.repeat(raw.quad_parent, 2))
-        halves.append(np.tile(np.array([0, 1], np.int64), len(raw.quads)))
-        from_quad.append(np.ones(2 * len(raw.quads), bool))
-
-    tris = np.concatenate(parts, axis=0)
-    parent = np.concatenate(parents)
-    half = np.concatenate(halves)
-    fq = np.concatenate(from_quad)
-
-    order = np.lexsort((half, parent))
+    tris = np.concatenate(
+        [raw.tris, _split_quads_batch(raw.quads, raw.vertices).reshape(-1, 3)]
+    )
+    parent = np.concatenate([raw.tri_parent, np.repeat(raw.quad_parent, 2)])
+    order = np.argsort(parent, kind="stable")
     return SurfaceMesh(
-        vertices=pts,
+        vertices=raw.vertices,
         triangles=tris[order],
         vertex_edges=raw.vertex_edges,
         vertex_t=raw.vertex_t,
         tri_parent=parent[order],
-        tri_from_quad=fq[order],
+        tri_from_quad=order >= len(raw.tris),
         h=mesh.h,
     )

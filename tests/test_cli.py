@@ -38,6 +38,16 @@ def test_bad_flag_value_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
+def test_bad_tol_exits_1(tol, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refmatrix", "--blocks", "10", "--block-size", "10",
+              f"--tol={tol}", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_export_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["extract", "--export", "stl"])

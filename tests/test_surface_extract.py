@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,8 @@ from levelsurf.level_set import (
     snap_small_values,
 )
 from levelsurf.surface_extract import (
+    _IS_TRIANGLE,
+    _PATTERNS,
     SurfaceMesh,
     _candidate_tets,
     extract_raw,
@@ -17,7 +21,12 @@ from levelsurf.surface_extract import (
     plane_residuals,
     split_quad,
 )
-from levelsurf.tet_grid import BoxDomain, TetMesh, build_uniform_mesh
+from levelsurf.tet_grid import (
+    BoxDomain,
+    TetMesh,
+    build_uniform_mesh,
+    tet_volumes,
+)
 
 from conftest import BOX, sphere_surface
 
@@ -230,6 +239,143 @@ def test_narrow_band_on_a_non_cubic_box(name):
     assert surf.n_triangles > 0
     for key in SURFACE_ARRAYS:
         npt.assert_array_equal(getattr(surf, key), getattr(ref, key), err_msg=key)
+
+
+# --- the case table ----------------------------------------------------------
+
+
+def _random_positive_tets(rng, n):
+    """(n, 4, 3) random tets, positively oriented and far from flat."""
+    p = rng.standard_normal((4 * n, 4, 3))
+    e = p[:, 1:] - p[:, :1]
+    vol = np.linalg.det(e) / 6.0
+    p = p[np.abs(vol) > 0.05][:n]
+    flip = np.linalg.det(p[:, 1:] - p[:, :1]) < 0
+    p[flip] = p[flip][:, [0, 1, 3, 2]]
+    assert len(p) == n
+    return p
+
+
+@pytest.mark.parametrize("code", range(1, 15))
+def test_pattern_table_oracle(code):
+    # Row c on a positive tet, and row 15 - c on a negative one, must list
+    # exactly the sign-changing edges, consecutive corners sharing a face,
+    # with the polygon normal along grad phi.
+    rng = np.random.default_rng(code)
+    bits = np.array([(code >> i) & 1 for i in range(4)], dtype=bool)
+    positive = _random_positive_tets(rng, 50)
+    negative = positive[:, [1, 0, 2, 3]]
+    assert (np.linalg.det(negative[:, 1:] - negative[:, :1]) < 0).all()
+    n_pos = bits.sum()
+    assert _IS_TRIANGLE[code] == (n_pos in (1, 3))
+    for p, row in ((positive, _PATTERNS[code]), (negative, _PATTERNS[15 - code])):
+        corners = row[:3] if _IS_TRIANGLE[code] else row
+        assert {frozenset(e) for e in corners} == {
+            frozenset((i, j)) for i in range(4) for j in range(4)
+            if bits[i] and not bits[j]}
+        for k in range(len(corners)):
+            assert len(set(corners[k]) | set(corners[k - 1])) == 3
+        f = np.where(bits, 1.0, -1.0) * rng.uniform(0.05, 2.0, (len(p), 4))
+        grad = np.linalg.solve(p[:, 1:] - p[:, :1],
+                               (f[:, 1:] - f[:, :1])[..., None])[..., 0]
+        a, b = corners[:, 0], corners[:, 1]
+        t = f[:, a] / (f[:, a] - f[:, b])
+        x = p[:, a] + t[..., None] * (p[:, b] - p[:, a])
+        if _IS_TRIANGLE[code]:
+            normal = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+        else:
+            normal = np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 1])
+        assert (np.einsum("ij,ij->i", normal, grad) > 0.0).all()
+
+
+def _rotate_min_first(tris):
+    """Each row cyclically rotated so that its smallest id comes first."""
+    shift = tris.argmin(axis=1)[:, None]
+    return np.take_along_axis(tris, (shift + np.arange(3)) % 3, axis=1)
+
+
+@pytest.mark.parametrize("zc", [0.03, 0.00025, 0.0])
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_negatively_oriented_tets(h, zc):
+    # Permuting each tet's nodes makes about half of them negative; the
+    # table's row 15 - c must then give the same oriented surface.
+    lattice = build_uniform_mesh(BOX, h)
+    field = snap_small_values(
+        interpolate_nodal(SphereLevelSet(center=(0.0, 0.0, zc)), lattice))
+    ref = extract_surface(lattice, field)
+    rng = np.random.default_rng(7)
+    perm = np.argsort(rng.random((lattice.n_tets, 4)), axis=1)
+    tets = np.take_along_axis(lattice.tets, perm, axis=1)
+    explicit = TetMesh(lattice.nodes, tets, h=h, box=lattice.box)
+    negative = tet_volumes(explicit) < 0
+    assert 0.3 < negative[ref.tri_parent].mean() < 0.7
+    surf = extract_surface(explicit, NodalField(mesh=explicit,
+                                                values=field.values))
+    for key in ("vertices", "vertex_edges", "vertex_t", "tri_parent",
+                "tri_from_quad"):
+        npt.assert_array_equal(getattr(surf, key), getattr(ref, key),
+                               err_msg=key)
+    npt.assert_array_equal(_rotate_min_first(surf.triangles),
+                           _rotate_min_first(ref.triangles))
+
+
+def test_zero_volume_cut_tet_raises():
+    flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    mesh = TetMesh(np.vstack([REF_NODES, flat]),
+                   np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), h=1.0,
+                   box=BoxDomain((0, 0, 0), (1, 1, 1)))
+    # the flat tet is not cut: the sound tet still extracts
+    surf = extract_surface(mesh, NodalField(
+        mesh=mesh, values=np.array([-1.0, -1, -1, 1, 1, 1, 1, 1])))
+    assert surf.n_triangles == 1
+    with pytest.raises(ValueError, match="zero volume"):
+        extract_surface(mesh, NodalField(
+            mesh=mesh, values=np.array([-1.0, -1, -1, 1, -1, 1, 1, 1])))
+
+
+# SHA-256 of the integer arrays of the sphere surface on BOX, pinned so
+# that a refactor of the extraction shows any change of its output.
+SURFACE_DIGESTS = {
+    (0.125, 0.03): (
+        "8dc2133340f1329cf91a6819b7d0be4dea5c006363868ca9d32f7d2e5e57d88d",
+        "9710b434d48df9951f6231284347087f17b68d73c6bca4b2d881ae2b49c049ca",
+        "534eae2681c0d239f314d2ff5529e1c5e3bed0da121ffc588e39580694defc33",
+        "7c0f336504139de2193917aa0c0153a01e1497896c104b428b097d943bc057e4"),
+    (0.125, 0.00025): (
+        "240468d265c28c7cdec0b6b3b9e48697db80930241edc8b93ce5ada84f0b2a90",
+        "5d8c1d60890a9f294843cc23c9f726a22f2a8597f26affde466b131d3beab2e5",
+        "dce9555b96ba9f576109c71954c0c12ff280d01bb365a296b152cee137c46ab7",
+        "f97020e8c5b7b4e7d39fb9746a3dac193727a49e2e7899745d6b624da4fd6491"),
+    (0.125, 0.0): (
+        "54d86c5c1cbd709171c355f4c5bb05a6ec90f810dc2e2ff92d0ae8c9b326da92",
+        "ec016969ea52dc8b8b9a7085231f1ea082031bb598f27d37dd36c24d47ff1bdf",
+        "aac32c9f9767befe295ebce644f77a6ec4a52e2c3bab475d613765186834c624",
+        "30ed61e97cc0aad9b35eed3eda92ebbde0ef434730a23f3f323c2ce85858fa0f"),
+    (0.0625, 0.03): (
+        "d1c95defa4a6a24629ace9e9b1d07d2921239a8ab90948a6b72da7e504b08cf8",
+        "3e970d027115be3b0ea62c42f688250dfe7b2dd7ad3376f21517172690bcfe72",
+        "908a75a4225e4496863f3ae38d56bbc434cf94bc8341f50d1edd86a0cc722309",
+        "ed26d10a4c37ab8a6893b2d84e508c80a012fbfc4fc95612d0924476f1baf5f4"),
+    (0.0625, 0.00025): (
+        "4e1451348dc4134f3a94501e4ccc6f6033cf6101b991ca13bc4d66e5c6c0d3e2",
+        "b79230d84009db4110fad3e8aee096bedce734c0f2b1ed25be72c255f560d72a",
+        "93862ed47f909173df410ace10993eb4997b470ea37e4cb2f0e02c02e2f4c7ae",
+        "9b178445797491dff5b9e99ce638be00ad7655914c21b7bd5f7913c7fd5f6597"),
+    (0.0625, 0.0): (
+        "aacb01c3e9aea1b11ed1082581c3a9baee1e7527bcf74d7aaebdf9853f60d629",
+        "1005ac4d1d6f7dc8644d186ec944baf09fffa8e8cd124ad76ae86d731168ed3d",
+        "e613d3669981b291bd358be6756eda7d477657311c18d898a0d63a687d3312e7",
+        "6c2b9efec65a3cfe6cb44c12f4a66e94ec6e5f614a24e05be721530523ab37bf"),
+}
+
+
+@pytest.mark.parametrize("h, zc", sorted(SURFACE_DIGESTS))
+def test_surface_arrays_pinned(h, zc):
+    _, surf = sphere_surface(h, zc=zc)
+    for key, digest in zip(("triangles", "vertex_edges", "tri_parent",
+                            "tri_from_quad"), SURFACE_DIGESTS[h, zc]):
+        data = np.ascontiguousarray(getattr(surf, key), dtype="<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, key
 
 
 def test_quad_halves_adjacent_in_output(sphere_h4):
