@@ -317,14 +317,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_conditioning(args: argparse.Namespace) -> int:
     out = _prepare_out(args)
-    mesh = build_uniform_mesh(args.box, args.h)
     rng = np.random.default_rng(args.seed)
     rows = []
     unconverged = []
     for zc in args.zc_list:
-        spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=args.radius)
-        field = snap_small_values(interpolate_nodal(spec, mesh))
-        surface = extract_surface(mesh, field)
+        spec, surface = _sphere_surface(args.box, args.h, zc, args.radius)
         report = quality_report(surface, spec)
         Ms, _ = diag_scale(assemble_mass(surface))
         A = assemble_stiffness(surface)
@@ -351,7 +348,7 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
             _, stats = pcg(As, As @ v, tol=args.tol, precond="jacobi")
         rows.append(_quality_row(zc, report)
                     + [As.shape[0], cond_ms, cond_as, stats.iterations])
-        if "mm" in getattr(args, "export", []):
+        if "mm" in args.export:
             tag = lsio.fmt(zc)
             lsio.write_matrix_market(
                 os.path.join(out, f"stiffness_scaled_zc{tag}.mtx"), As)

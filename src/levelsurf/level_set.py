@@ -41,11 +41,14 @@ class SphereLevelSet:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < float("inf"):
+            raise ValueError(
+                f"radius must be finite and positive, got {self.radius}")
         c = np.asarray(self.center, dtype=float)
         if c.shape != (3,):
             raise ValueError("center must be a 3-vector")
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be finite, got {tuple(c.tolist())}")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
     @property

@@ -9,7 +9,7 @@ discrete triangle normals from the exact ones (expected ~ h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,17 +65,7 @@ class QualityReport:
     assumptions_checked: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_triangles": self.n_triangles,
-            "phi_max_deg": self.phi_max_deg,
-            "phi_min_deg": self.phi_min_deg,
-            "count_below_1deg": self.count_below_1deg,
-            "angle_histogram": list(self.angle_histogram),
-            "max_dist": self.max_dist,
-            "max_normal_dev": self.max_normal_dev,
-            "assumptions_checked": self.assumptions_checked,
-        }
+        return asdict(self)
 
 
 def _assumption_maxima(surface: SurfaceMesh, spec) -> tuple[float, float]:

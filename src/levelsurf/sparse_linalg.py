@@ -9,17 +9,17 @@ independent, and each level is eliminated by a few vectorized updates per
 lower-entry rank, in the same floating-point order as a row-by-row loop.
 Its triangular factors are wrapped once in SuperLU solvers (natural
 order, no pivoting, no fill), so each preconditioner application is two
-substitution sweeps.  Extreme eigenvalues come from
-one Lanczos routine with full reorthogonalization.  The largest is taken
-from a run on the matrix itself.  The smallest of a positive definite
-matrix is taken from the same Krylov basis when it converges within twice
-the steps the largest needed; otherwise, and always for the smallest
-nonzero eigenvalue of a deflated semidefinite matrix, it comes from a
-shift-invert run through a sparse LU of the slightly regularized matrix,
-so that a singular matrix is never factorized.  That shift-invert LU uses
-a symmetric minimum-degree ordering with diagonal pivots.  Effective
-condition numbers deflate a supplied kernel vector and report
-lambda_max / lambda_2.
+substitution sweeps.  Extreme eigenvalues come from one Lanczos routine
+with full reorthogonalization that tracks one Ritz pair per end and forms
+no Ritz vectors.  The largest is taken from a run on the matrix itself.
+The smallest of a positive definite matrix is taken from the same Krylov
+basis when it converges within twice the steps the largest needed;
+otherwise, and always for the smallest nonzero eigenvalue of a deflated
+semidefinite matrix, it comes from a shift-invert run through a sparse LU
+(symmetric minimum-degree order, diagonal pivots) of the slightly
+regularized matrix, so that a singular matrix is never factorized.
+Effective condition numbers project a supplied kernel vector off every
+Krylov vector and report lambda_max / lambda_2.
 """
 
 from __future__ import annotations
@@ -377,22 +377,19 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
 # Lanczos extreme eigenvalues
 
 
-def _end_ritz(alphas, betas, n_pairs, bottom):
-    """Largest Ritz values and their tridiagonal eigenvectors, descending.
-
-    With ``bottom`` the smallest Ritz pair is appended as the last column.
-    Past 64 steps only the wanted pairs are computed.
-    """
+def _end_ritz(alphas, betas, bottom):
+    """Largest and, with ``bottom``, smallest Ritz value, with the last
+    components of their tridiagonal eigenvectors; past 64 steps only these
+    pairs are computed."""
     a = np.asarray(alphas)
     b = np.asarray(betas)
     k = len(a)
-    n_pairs = min(n_pairs, k)
     if k <= 64:
         vals, vecs = sla.eigh_tridiagonal(a, b)
     else:
         try:
             vals, vecs = sla.eigh_tridiagonal(
-                a, b, select="i", select_range=(k - n_pairs, k - 1)
+                a, b, select="i", select_range=(k - 1, k - 1)
             )
             if bottom:
                 low, low_vec = sla.eigh_tridiagonal(
@@ -402,29 +399,27 @@ def _end_ritz(alphas, betas, n_pairs, bottom):
                 vecs = np.hstack((low_vec, vecs))
         except sla.LinAlgError:
             vals, vecs = sla.eigh_tridiagonal(a, b)
-    order = np.argsort(vals)[::-1][:n_pairs]
-    if bottom:
-        order = np.append(order, np.argmin(vals))
-    return vals[order], vecs[:, order]
+    # eigh_tridiagonal returns the values ascending
+    ends = [-1, 0] if bottom else [-1]
+    return vals[ends], vecs[-1, ends]
 
 
-def _lanczos(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None,
-             bottom=False):
-    """Extreme Ritz pairs of a symmetric operator, full reorthogonalization.
+def _lanczos(apply_op, n, rng, tol, maxiter, project=None, bottom=False):
+    """End eigenvalues of a symmetric operator, full reorthogonalization.
 
-    Tracks the top ``n_pairs`` Ritz pairs and, with ``bottom``, also the
-    smallest one.  A pair has converged when its residual bound
-    beta * |last component| falls below tol * |value|.  The run stops when
-    every tracked pair has converged, or on Krylov breakdown (invariant
-    subspace, estimates exact).  If the top pairs converge first, at step
-    k_top, the bottom pair gets until step 2 k_top: the dense
-    reorthogonalization costs O(k^2 n), so an unconverged bottom end costs
-    at most three times the top run.
+    Tracks one Ritz pair at the top and, with ``bottom``, one at the
+    bottom; no Ritz vector is formed.  A pair has converged when its
+    residual bound beta * |last component| falls below tol * |value|.  The
+    run stops when every tracked pair has converged, or on Krylov breakdown
+    (invariant subspace, estimates exact).  If the top pair converges
+    first, at step k_top, the bottom pair gets until step 2 k_top: the
+    dense reorthogonalization costs O(k^2 n), so an unconverged bottom end
+    costs at most three times the top run.  ``project`` is applied to the
+    start vector and to every new Lanczos vector.
 
-    Returns (top values, top Ritz vectors, bottom value), the top pairs
-    descending; the bottom value is None unless it was asked for and
-    converged.  Raises EigNonConvergence, with the best top value, if the
-    top pairs do not converge within ``maxiter`` steps.
+    Returns (top, bottom) as floats; bottom is None unless it was asked
+    for and converged.  Raises EigNonConvergence, with the best top value,
+    if the top pair does not converge within ``maxiter`` steps.
     """
     maxiter = min(maxiter, n)
     V = np.empty((maxiter + 1, n))
@@ -453,34 +448,24 @@ def _lanczos(apply_op, n, rng, tol, maxiter, n_pairs=1, project=None,
 
         alpha_max = max(alpha_max, abs(alphas[-1]))
         exact = beta <= 1e-14 * (alpha_max + beta_max) or k + 1 == n
-        check = (k + 1 >= n_pairs) and (
-            k < 64 or (k % 8 == 0) or (k == maxiter - 1) or exact
-        )
-        if check:
-            vals, vecs = _end_ritz(alphas, betas, n_pairs, bottom)
-            bounds = beta * np.abs(vecs[-1, :])
-            ok = bounds <= tol * np.maximum(np.abs(vals), 1e-300)
-            if k_top is None and np.all(ok[:n_pairs]):
+        if k < 64 or k % 8 == 0 or k == maxiter - 1 or exact:
+            vals, last = _end_ritz(alphas, betas, bottom)
+            ok = beta * np.abs(last) <= tol * np.maximum(np.abs(vals), 1e-300)
+            if k_top is None and ok[0]:
                 k_top = k + 1
-            if exact or np.all(ok) or (
+            if exact or ok.all() or (
                 k_top is not None and (k + 1 >= 2 * k_top or k == maxiter - 1)
             ):
-                low = None
-                if bottom:
-                    if exact or ok[-1]:
-                        low = float(vals[-1])
-                    vals, vecs = vals[:-1], vecs[:, :-1]
-                ritz = (V[: k + 1].T @ vecs).T
-                return vals, ritz, low
+                low = float(vals[1]) if bottom and (exact or ok[1]) else None
+                return float(vals[0]), low
         betas.append(beta)
         beta_max = max(beta_max, beta)
         V[k + 1] = w / beta
 
-    vals, _ = _end_ritz(alphas, betas[:-1], n_pairs, False)
+    vals, _ = _end_ritz(alphas, betas[:-1], False)
     raise EigNonConvergence(
         f"Lanczos did not converge within {maxiter} iterations",
-        best=float(vals[0]),
-    )
+        best=float(vals[0]))
 
 
 def _deflation_projector(deflate: np.ndarray):
@@ -506,9 +491,10 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
     singular input is never factorized) and returns 1/mu - delta: the
     bottom of the spectrum becomes the well-separated top of the inverse's.
     :func:`spd_cond` falls back to this run when the bottom end does not
-    converge in its direct run.  With ``deflate`` the supplied near-kernel direction
-    is projected out and any Ritz mode still aligned with it is discarded,
-    which turns "min" into the smallest nonzero eigenvalue.
+    converge in its direct run.  With ``deflate`` the supplied near-kernel
+    direction is projected off the start vector and every new Lanczos
+    vector, so the Krylov basis is orthogonal to it and "min" is the
+    smallest nonzero eigenvalue.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -521,9 +507,8 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
         khat, project = _deflation_projector(deflate)
 
     if which == "max":
-        vals, _, _ = _lanczos(lambda v: A @ v, n, rng, tol, maxiter,
-                              project=project)
-        return float(vals[0])
+        return _lanczos(lambda v: A @ v, n, rng, tol, maxiter,
+                        project=project)[0]
 
     if which != "min":
         raise ValueError("which must be 'max' or 'min'")
@@ -541,20 +526,19 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
 
-    n_pairs = 2 if khat is not None else 1
-    vals, ritz, _ = _lanczos(lu.solve, n, rng, tol, maxiter,
-                             n_pairs=n_pairs, project=project)
-    for mu, y in zip(vals, ritz):
-        if khat is not None and abs(float(khat @ y)) > 0.5:
-            continue  # kernel mode
-        if mu <= 0.0:
-            raise EigNonConvergence(
-                "inverse operator returned a non-positive Ritz value", best=None
-            )
-        return float(1.0 / mu - delta)
-    raise EigNonConvergence(
-        "all Ritz modes aligned with the deflation vector", best=None
-    )
+    mu, _ = _lanczos(lu.solve, n, rng, tol, maxiter, project=project)
+    if mu <= 0.0:
+        raise EigNonConvergence(
+            "inverse operator returned a non-positive Ritz value")
+    return 1.0 / mu - delta
+
+
+def _cond_estimate(lam_max: float, lam_min: float,
+                   deflated: bool) -> CondEstimate:
+    """lambda_max / lambda_min; inf when lambda_min <= 0 or underflows it."""
+    bad = lam_min <= 0.0 or lam_min < abs(lam_max) * 1e-300
+    cond = float("inf") if bad else float(lam_max / lam_min)
+    return CondEstimate(float(lam_max), float(lam_min), cond, deflated)
 
 
 def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
@@ -574,11 +558,7 @@ def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
             f"> 1e-8 * lambda_max = {1e-8 * abs(lam_max):.3e}"
         )
     lam2 = eig_extreme(A, "min", tol=tol, seed=seed, deflate=kernel)
-    if lam2 <= 0.0 or lam2 < abs(lam_max) * 1e-300:
-        cond = float("inf")
-    else:
-        cond = float(lam_max / lam2)
-    return CondEstimate(float(lam_max), float(lam2), cond, deflated=True)
+    return _cond_estimate(lam_max, lam2, deflated=True)
 
 
 def spd_cond(A, tol: float = 1e-6, seed: int = 0) -> CondEstimate:
@@ -595,16 +575,11 @@ def spd_cond(A, tol: float = 1e-6, seed: int = 0) -> CondEstimate:
     A = _as_csr(A)
     n = A.shape[0]
     rng = np.random.default_rng(seed)
-    vals, _, lam_min = _lanczos(lambda v: A @ v, n, rng, tol, min(n, 600),
+    lam_max, lam_min = _lanczos(lambda v: A @ v, n, rng, tol, min(n, 600),
                                 bottom=True)
-    lam_max = vals[0]
     if lam_min is None:
         lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
-    if lam_min <= 0.0 or lam_min < abs(lam_max) * 1e-300:
-        cond = float("inf")
-    else:
-        cond = float(lam_max / lam_min)
-    return CondEstimate(float(lam_max), float(lam_min), cond, deflated=False)
+    return _cond_estimate(lam_max, lam_min, deflated=False)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,8 @@ class TetMesh:
             n = np.array(self.n_cells)
             if n.min() < 1 or np.any(np.abs(n * h - ext) > 1e-9 * np.abs(ext)):
                 raise ValueError(f"h={h} does not divide the box extents "
-                                 f"{tuple(ext)} into {self.n_cells} cubes")
+                                 f"{tuple(ext.tolist())} into {self.n_cells} "
+                                 "cubes")
             self._axes = [lo + h * np.arange(m + 1)
                           for lo, m in zip(box.lo, self.n_cells)]
         else:
@@ -252,15 +253,15 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     ----------
     box : BoxDomain
     h : float
-        Cube edge length.  Must divide every box extent to within a 1e-9
-        relative tolerance.
+        Cube edge length, finite and positive.  Must divide every box
+        extent to within a 1e-9 relative tolerance.
 
     Returns
     -------
     TetMesh
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < float("inf"):
+        raise ValueError(f"h must be finite and positive, got {h}")
     n_cells = np.round(box.extents / h).astype(np.int64)
     return TetMesh(None, None, h=float(h), box=box, n_cells=tuple(n_cells))
 

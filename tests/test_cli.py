@@ -61,6 +61,27 @@ def test_operational_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["extract", "--h", "nan"], "nan"),
+    (["extract", "--h", "inf"], "inf"),
+    (["extract", "--h", "0.3"], "0.3"),
+    (["convergence", "--h-list", "0.5,nan,0.25"], "nan"),
+    (["extract", "--radius", "nan"], "nan"),
+    (["extract", "--radius", "inf"], "inf"),
+    (["extract", "--zc", "nan"], "nan"),
+    (["conditioning", "--h", "0.5", "--zc-list", "inf"], "inf"),
+])
+def test_bad_mesh_or_sphere_input_exits_1(argv, bad, tmp_path, capsys):
+    # A non-finite h or sphere is named in one plain error line: no cast
+    # warning, no numpy scalar repr, no misleading downstream message.
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and bad in errors[0]
+    assert "np." not in err
+
+
 @pytest.mark.parametrize("exc", [
     EigNonConvergence("lambda_max estimate not converged"),
     ZeroPivotError(3),

@@ -543,6 +543,20 @@ def test_effective_cond_small_diagonal():
     assert est.deflated
 
 
+def test_effective_cond_deflated_bottom_cluster():
+    # lambda_3 / lambda_2 - 1 = 2.5e-4, as on the h = 1/8, z_c = 0 sphere:
+    # the one tracked pair of the shift-invert run must stop on lambda_2,
+    # not between the two cluster members.
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((400, 400)))
+    lams = np.concatenate(([0.0, 1e-3, 1e-3 * (1.0 + 2.5e-4)],
+                           np.linspace(0.01, 2.0, 397)))
+    A = sp.csr_matrix((Q * lams) @ Q.T)
+    est = effective_cond(A, Q[:, 0])
+    npt.assert_allclose(est.lambda_min, 1e-3, rtol=1e-6)
+    npt.assert_allclose(est.lambda_max, 2.0, rtol=1e-6)
+
+
 def test_effective_cond_path_laplacian():
     # Graph Laplacian of a 4-node path: nonzero spectrum 2-sqrt(2), 2, 2+sqrt(2).
     A = sp.csr_matrix(
