@@ -31,8 +31,9 @@ for h in [0.5, 0.25, 0.125]:
     print(f"{h:8.4f} {mesh.n_nodes:8d} {mesh.n_tets:8d} {vol_err:10.2e} "
           f"{shape_regularity(mesh):8.4f} {theta:9.4f}°")
 
-# shape regularity alpha = diam^3 / vol is the same for every Kuhn tet:
-# sqrt(3) (sqrt(2) + 1); the regular tetrahedron would give 3.
+# shape regularity alpha = (enclosing-ball diameter) / (inscribed-ball
+# diameter) is the same for every Kuhn tet: sqrt(3) (sqrt(2) + 1); the
+# regular tetrahedron would give 3.
 print(f"\nKuhn alpha exact: {np.sqrt(3.0) * (np.sqrt(2.0) + 1.0):.10f}")
 
 # Sample the unit sphere on the finest grid and snap exact zeros.

@@ -43,9 +43,7 @@ from .sparse_linalg import (
     spd_cond,
 )
 from .surface_extract import (
-    RawSurface,
     SurfaceMesh,
-    extract_raw,
     extract_surface,
     plane_residuals,
     split_quad,
@@ -77,7 +75,6 @@ __all__ = [
     "EigNonConvergence",
     "NodalField",
     "QualityReport",
-    "RawSurface",
     "SolveStats",
     "SphereLevelSet",
     "SurfaceFunction",
@@ -94,7 +91,6 @@ __all__ = [
     "diag_scale",
     "effective_cond",
     "eig_extreme",
-    "extract_raw",
     "extract_surface",
     "h1_semi_error",
     "ilu0_factor",

@@ -432,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, EigNonConvergence, ZeroPivotError) as exc:
+    except (ValueError, OSError, MemoryError, EigNonConvergence,
+            ZeroPivotError) as exc:
         # np.linalg.LinAlgError is a ValueError, so it ends here too
         print(f"error: {exc}", file=sys.stderr)
         return 1

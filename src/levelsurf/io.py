@@ -38,6 +38,12 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write ``lines`` as text, each ended by a newline."""
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     """Write rows as CSV with a fixed header and deterministic formatting."""
     lines = [",".join(header)]
@@ -47,8 +53,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
                 f"row length {len(row)} != header length {len(header)}"
             )
         lines.append(",".join(fmt(v) for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_json(path: str, obj) -> None:
@@ -67,49 +72,28 @@ def write_obj(path: str, vertices: np.ndarray, triangles: np.ndarray) -> None:
         lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
     for t in triangles:
         lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def write_vtk_surface(path: str, vertices: np.ndarray, triangles: np.ndarray,
-                      point_data: dict[str, np.ndarray] | None = None) -> None:
-    """Write a triangle mesh as legacy ASCII VTK POLYDATA.
-
-    Parameters
-    ----------
-    point_data : dict, optional
-        Scalar arrays of length n_vertices, written as POINT_DATA fields.
-    """
+def write_vtk_surface(path: str, vertices: np.ndarray,
+                      triangles: np.ndarray) -> None:
+    """Write a triangle mesh as legacy ASCII VTK POLYDATA (no point data)."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    nv = len(vertices)
     nt = len(triangles)
     lines = [
         "# vtk DataFile Version 3.0",
         "levelsurf surface",
         "ASCII",
         "DATASET POLYDATA",
-        f"POINTS {nv} double",
+        f"POINTS {len(vertices)} double",
     ]
     for v in vertices:
         lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
     lines.append(f"POLYGONS {nt} {4 * nt}")
     for t in triangles:
         lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    if point_data:
-        lines.append(f"POINT_DATA {nv}")
-        for name in sorted(point_data):
-            arr = np.asarray(point_data[name], dtype=float)
-            if arr.shape != (nv,):
-                raise ValueError(
-                    f"point_data[{name!r}] has shape {arr.shape}, "
-                    f"expected ({nv},)"
-                )
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(repr(float(x)) for x in arr)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_matrix_market(path: str, A: sp.spmatrix) -> None:

@@ -13,10 +13,9 @@ which makes the triangulation watertight by construction.  Quadrilaterals
 are split along the diagonal at their largest inner angle, which keeps all
 surface angles bounded away from pi.
 
-:func:`extract_surface` returns the final :class:`SurfaceMesh`;
-:func:`extract_raw` returns the cut polygons before the split as a
-:class:`RawSurface`, which :func:`plane_residuals` checks against the
-parent tets' zero planes.
+:func:`extract_surface` returns the :class:`SurfaceMesh`, one triangle or
+two quad halves per cut tet in tet order; :func:`plane_residuals` checks
+its corners against the parent tets' zero planes.
 """
 
 from __future__ import annotations
@@ -31,33 +30,11 @@ from .level_set import NodalField
 from .tet_grid import TetMesh, corner_cross_dot
 
 __all__ = [
-    "RawSurface",
     "SurfaceMesh",
-    "extract_raw",
     "split_quad",
     "extract_surface",
     "plane_residuals",
 ]
-
-
-@dataclass
-class RawSurface:
-    """Cut polygons before quad splitting.
-
-    There is one cut vertex per cut grid edge, deduplicated across tets and
-    ordered by its (a, b) edge key, so the surface is a pure function of
-    mesh + field.  Triangle/quad rows hold indices into ``vertices``;
-    polygons are in cyclic order (consecutive corners share a tet face) and
-    oriented so the polygon normal points from phi < 0 to phi > 0.
-    """
-
-    vertices: np.ndarray      # (Nv, 3) cut-vertex positions
-    vertex_edges: np.ndarray  # (Nv, 2) sorted global node pairs (a < b)
-    vertex_t: np.ndarray      # (Nv,) parameter in (0, 1) along a -> b
-    tris: np.ndarray        # (Nt, 3) int
-    tri_parent: np.ndarray  # (Nt,) tet index
-    quads: np.ndarray       # (Nq, 4) int
-    quad_parent: np.ndarray
 
 
 @dataclass
@@ -222,22 +199,40 @@ _PATTERNS = np.array(
 _IS_TRIANGLE = (_PATTERNS[:, 2] == _PATTERNS[:, 3]).all(axis=1)
 
 
-def _tet_gradients(mesh: TetMesh, vals: np.ndarray, tet_ids: np.ndarray) -> np.ndarray:
-    """Constant gradient of the P1 interpolant on the given tets."""
-    tet_nodes = mesh.tet_nodes(tet_ids)
-    p = mesh.node_coords(tet_nodes)
-    f = vals[tet_nodes]
-    E = p[:, 1:] - p[:, :1]
-    rhs = f[:, 1:] - f[:, :1]
-    return np.linalg.solve(E, rhs[..., None])[..., 0]
+def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Split quads at their largest inner angle; returns (N, 2, 3) ids.
+
+    The largest-angle corner is connected to the opposite corner; exact
+    angle ties resolve to the corner with the smallest global vertex id.
+    Both halves keep the quad's cyclic orientation.
+    """
+    ang = np.arctan2(*corner_cross_dot(points[quad_ids]))
+    amax = ang.max(axis=1)
+    tied = ang == amax[:, None]
+    cand = np.where(tied, quad_ids, np.iinfo(np.int64).max)
+    m = cand.argmin(axis=1)
+
+    idx = (m[:, None] + np.arange(4)[None, :]) % 4
+    rot = np.take_along_axis(quad_ids, idx, axis=1)
+    return rot[:, [[0, 1, 2], [0, 2, 3]]]
 
 
-def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
-    """Cut all tets with a strict sign pattern into oriented planar polygons.
+def split_quad(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Split one cyclic quad into two triangles (max-angle rule), (2, 3) ids."""
+    quad_ids = np.asarray(quad_ids, dtype=np.int64).reshape(1, 4)
+    return _split_quads_batch(quad_ids, np.asarray(points, dtype=float))[0]
 
-    Cut vertices are deduplicated across tets by their global grid-edge
-    key.  Kuhn lattice tets are all positively oriented; on an explicit mesh
-    the sign of each cut tet's triple product picks row c or 15 - c.  A
+
+def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
+    """Extract the watertight oriented triangulation of {phi_h = 0}.
+
+    Every tet with a strict sign pattern is cut by the table; a quad is
+    split along the diagonal at its largest inner angle.  Cut vertices are
+    deduplicated across tets by their global grid-edge key.  Kuhn lattice
+    tets are all positively oriented; on an explicit mesh the sign of each
+    cut tet's triple product picks row c or 15 - c.  Triangles come one
+    (or two quad halves) per cut tet in increasing tet id, vertices by
+    grid-edge key, so the result is a pure function of the inputs.  A
     field with one sign everywhere yields an empty surface; exact nodal
     zeros and cut tets of zero volume raise ValueError.
     """
@@ -275,88 +270,41 @@ def extract_raw(mesh: TetMesh, field: NodalField) -> RawSurface:
     points = ((1.0 - t)[:, None] * mesh.node_coords(ua)
               + t[:, None] * mesh.node_coords(ub))
 
-    tri = _IS_TRIANGLE[code]
-    return RawSurface(
+    # Row i: the triangle of cut tet i, or both halves of its quad.
+    quad = ~_IS_TRIANGLE[code]
+    pairs = np.empty((len(code), 2, 3), dtype=np.int64)
+    pairs[:, 0] = polys[:, :3]
+    pairs[quad] = _split_quads_batch(polys[quad], points)
+    return SurfaceMesh(
         vertices=points,
+        triangles=pairs[np.column_stack([np.ones_like(quad), quad])],
         vertex_edges=np.column_stack([ua, ub]),
         vertex_t=t,
-        tris=polys[tri, :3],
-        tri_parent=tet_ids[tri],
-        quads=polys[~tri],
-        quad_parent=tet_ids[~tri],
-    )
-
-
-def plane_residuals(mesh: TetMesh, field: NodalField, raw: RawSurface) -> np.ndarray:
-    """Distance of every polygon corner from its parent tet's zero plane.
-
-    The cut plane inside a tet is {phi_h = 0} with phi_h linear, so the
-    residual is |phi_h(x)| / |grad phi_h| evaluated on the parent tet.  All
-    residuals vanish up to roundoff for a correct extraction; this stays
-    well conditioned even for sliver polygons, unlike a plane fitted
-    through three nearly collinear corners.
-    """
-    vals = field.values
-    out = []
-    for polys, parent in ((raw.tris, raw.tri_parent), (raw.quads, raw.quad_parent)):
-        if not len(polys):
-            continue
-        g = _tet_gradients(mesh, vals, parent)
-        base = mesh.tet_nodes(parent)[:, 0]
-        x0 = mesh.node_coords(base)
-        f0 = vals[base]
-        p = raw.vertices[polys]
-        phi = f0[:, None] + np.einsum("ik,ijk->ij", g, p - x0[:, None, :])
-        out.append(np.abs(phi) / np.linalg.norm(g, axis=1)[:, None])
-    if not out:
-        return np.zeros(0)
-    return np.concatenate([r.ravel() for r in out])
-
-
-def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Split quads at their largest inner angle; returns (N, 2, 3) ids.
-
-    The largest-angle corner is connected to the opposite corner; exact
-    angle ties resolve to the corner with the smallest global vertex id.
-    Both halves keep the quad's cyclic orientation.
-    """
-    ang = np.arctan2(*corner_cross_dot(points[quad_ids]))
-    amax = ang.max(axis=1)
-    tied = ang == amax[:, None]
-    cand = np.where(tied, quad_ids, np.iinfo(np.int64).max)
-    m = cand.argmin(axis=1)
-
-    idx = (m[:, None] + np.arange(4)[None, :]) % 4
-    rot = np.take_along_axis(quad_ids, idx, axis=1)
-    return rot[:, [[0, 1, 2], [0, 2, 3]]]
-
-
-def split_quad(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Split one cyclic quad into two triangles (max-angle rule), (2, 3) ids."""
-    quad_ids = np.asarray(quad_ids, dtype=np.int64).reshape(1, 4)
-    return _split_quads_batch(quad_ids, np.asarray(points, dtype=float))[0]
-
-
-def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
-    """Extract the watertight oriented triangulation of {phi_h = 0}.
-
-    Runs the raw per-tet cut, then splits every quadrilateral along the
-    diagonal at its largest inner angle.  Triangles are ordered by parent
-    tet (quad halves adjacent), vertices by grid-edge key; the result is a
-    pure function of the inputs.
-    """
-    raw = extract_raw(mesh, field)
-    tris = np.concatenate(
-        [raw.tris, _split_quads_batch(raw.quads, raw.vertices).reshape(-1, 3)]
-    )
-    parent = np.concatenate([raw.tri_parent, np.repeat(raw.quad_parent, 2)])
-    order = np.argsort(parent, kind="stable")
-    return SurfaceMesh(
-        vertices=raw.vertices,
-        triangles=tris[order],
-        vertex_edges=raw.vertex_edges,
-        vertex_t=raw.vertex_t,
-        tri_parent=parent[order],
-        tri_from_quad=order >= len(raw.tris),
+        tri_parent=np.repeat(tet_ids, 1 + quad),
+        tri_from_quad=np.repeat(quad, 1 + quad),
         h=mesh.h,
     )
+
+
+def plane_residuals(mesh: TetMesh, field: NodalField,
+                    surface: SurfaceMesh) -> np.ndarray:
+    """Distance of every triangle corner from its parent tet's zero plane.
+
+    The cut plane inside a tet is {phi_h = 0} with phi_h linear, so the
+    residual is |phi_h(x)| / |grad phi_h| evaluated on the parent tet; the
+    result is (F, 3).  All residuals vanish up to roundoff for a correct
+    extraction; this stays well conditioned even for sliver triangles,
+    unlike a plane fitted through three nearly collinear corners.  A
+    ``tri_parent`` outside [0, mesh.n_tets), as ``from_arrays`` sets,
+    raises ValueError.
+    """
+    parent = surface.tri_parent
+    if parent.size and (parent.min() < 0 or parent.max() >= mesh.n_tets):
+        raise ValueError("surface triangles have no parent tet in this mesh")
+    tet_nodes = mesh.tet_nodes(parent)
+    p = mesh.node_coords(tet_nodes)
+    f = field.values[tet_nodes]
+    g = np.linalg.solve(p[:, 1:] - p[:, :1], (f[:, 1:] - f[:, :1])[..., None])[..., 0]
+    x = surface.vertices[surface.triangles] - p[:, :1]
+    phi = f[:, :1] + np.einsum("ik,ijk->ij", g, x)
+    return np.abs(phi) / np.linalg.norm(g, axis=1)[:, None]

@@ -14,6 +14,7 @@ import this one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,8 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     box : BoxDomain
     h : float
         Cube edge length, finite and positive.  Must divide every box
-        extent to within a 1e-9 relative tolerance.
+        extent to within a 1e-9 relative tolerance, into fewer than 2**63
+        nodes (node ids are int64).
 
     Returns
     -------
@@ -262,6 +264,11 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     """
     if not 0.0 < h < float("inf"):
         raise ValueError(f"h must be finite and positive, got {h}")
+    # in Python floats, which overflow to inf without a warning
+    n_nodes = math.prod(float(e) / float(h) + 1.0 for e in box.extents)
+    if not n_nodes < 2.0**63:
+        raise ValueError(f"h={h} is too fine: the grid would have {n_nodes:.3g} "
+                         "nodes, more than int64 node ids can index")
     n_cells = np.round(box.extents / h).astype(np.int64)
     return TetMesh(None, None, h=float(h), box=box, n_cells=tuple(n_cells))
 

@@ -70,6 +70,9 @@ def test_operational_error_exits_1(tmp_path, capsys):
     (["extract", "--radius", "inf"], "inf"),
     (["extract", "--zc", "nan"], "nan"),
     (["conditioning", "--h", "0.5", "--zc-list", "inf"], "inf"),
+    # too fine to index with int64 node ids; rejected before any allocation
+    (["extract", "--h", "1e-300"], "h=1e-300"),
+    (["extract", "--h", "1e-6"], "h=1e-06"),
 ])
 def test_bad_mesh_or_sphere_input_exits_1(argv, bad, tmp_path, capsys):
     # A non-finite h or sphere is named in one plain error line: no cast
@@ -86,6 +89,7 @@ def test_bad_mesh_or_sphere_input_exits_1(argv, bad, tmp_path, capsys):
     EigNonConvergence("lambda_max estimate not converged"),
     ZeroPivotError(3),
     np.linalg.LinAlgError("not positive definite"),
+    MemoryError("Unable to allocate 477. GiB for an array"),
 ])
 def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch, exc):
     def fail(*args, **kwargs):

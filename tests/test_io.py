@@ -73,34 +73,15 @@ def test_write_vtk_surface(tmp_path):
     path = tmp_path / "s.vtk"
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tris = np.array([[0, 1, 2]])
-    write_vtk_surface(str(path), verts, tris, point_data={"phi": np.arange(3.0)})
-    lines = path.read_text().splitlines()
+    write_vtk_surface(str(path), verts, tris)
+    text = path.read_text()
+    lines = text.splitlines()
     assert lines[0].startswith("# vtk DataFile")
     assert lines[3] == "DATASET POLYDATA"
     assert "POINTS 3 double" in lines
     assert "POLYGONS 1 4" in lines
-    assert "3 0 1 2" in lines
-    assert "SCALARS phi double 1" in lines
-
-
-def test_write_vtk_surface_point_data_sorted(tmp_path):
-    path = tmp_path / "s.vtk"
-    verts = np.zeros((2, 3))
-    verts[1, 0] = 1.0
-    write_vtk_surface(
-        str(path), verts, np.zeros((0, 3), dtype=int),
-        point_data={"zz": np.zeros(2), "aa": np.ones(2)},
-    )
-    text = path.read_text()
-    assert text.index("SCALARS aa") < text.index("SCALARS zz")
-
-
-def test_write_vtk_surface_validates_point_data(tmp_path):
-    with pytest.raises(ValueError, match="point_data"):
-        write_vtk_surface(
-            str(tmp_path / "s.vtk"), np.zeros((2, 3)), np.zeros((0, 3), dtype=int),
-            point_data={"phi": np.zeros(5)},
-        )
+    assert lines[-1] == "3 0 1 2" and text.endswith("\n")
+    assert "POINT_DATA" not in text
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,7 +17,6 @@ from levelsurf.surface_extract import (
     _PATTERNS,
     SurfaceMesh,
     _candidate_tets,
-    extract_raw,
     extract_surface,
     plane_residuals,
     split_quad,
@@ -150,14 +150,16 @@ def test_extraction_deterministic():
     npt.assert_array_equal(s1.tri_parent, s2.tri_parent)
 
 
-def test_raw_surface_counts(sphere_h4):
+def test_triangles_follow_parent_tets(sphere_h4):
+    # One triangle per cut tet, or two quad halves, in increasing tet id.
     mesh = build_uniform_mesh(BOX, 0.25)
-    spec, surf = sphere_h4
-    field = snap_small_values(interpolate_nodal(spec, mesh))
-    raw = extract_raw(mesh, field)
-    assert surf.n_triangles == len(raw.tris) + 2 * len(raw.quads)
-    assert (raw.tri_parent < mesh.n_tets).all()
-    assert (raw.quad_parent < mesh.n_tets).all()
+    _, surf = sphere_h4
+    parent = surf.tri_parent
+    assert (np.diff(parent) >= 0).all()
+    assert 0 <= parent[0] and parent[-1] < mesh.n_tets
+    _, counts = np.unique(parent, return_counts=True)
+    assert set(counts.tolist()) == {1, 2}
+    npt.assert_array_equal(np.repeat(counts == 2, counts), surf.tri_from_quad)
 
 
 def test_affine_cut_planarity():
@@ -165,22 +167,46 @@ def test_affine_cut_planarity():
     a, b = np.array([0.3, -0.7, 1.1]), 0.1234
     spec = AnalyticLevelSet(lambda p: p @ a + b)
     field = snap_small_values(interpolate_nodal(spec, mesh))
-    raw = extract_raw(mesh, field)
-    res = plane_residuals(mesh, field, raw)
-    assert res.size > 0
+    surf = extract_surface(mesh, field)
+    res = plane_residuals(mesh, field, surf)
+    assert res.shape == (surf.n_triangles, 3) and res.size > 0
     assert res.max() <= 1e-12
     # Every extracted vertex satisfies the affine equation exactly.
-    surf = extract_surface(mesh, field)
     npt.assert_allclose(surf.vertices @ a + b, 0.0, atol=1e-12)
 
 
 def test_sphere_cut_planarity(sphere_h4):
     mesh = build_uniform_mesh(BOX, 0.25)
-    spec, _ = sphere_h4
+    spec, surf = sphere_h4
     field = snap_small_values(interpolate_nodal(spec, mesh))
-    raw = extract_raw(mesh, field)
-    res = plane_residuals(mesh, field, raw)
+    res = plane_residuals(mesh, field, surf)
     assert res.max() <= 1e-12 * mesh.h
+
+
+def test_plane_residuals_detect_a_bad_surface(sphere_h4):
+    # The oracle must fail a wrong surface: a corner pointing at the far
+    # vertex of an edge neighbour, or one vertex moved by 1e-9 per axis.
+    # Measured: 6.6e-16 h as extracted, 4.1e-2 h rewired, 6.7e-9 h moved.
+    mesh = build_uniform_mesh(BOX, 0.25)
+    spec, surf = sphere_h4
+    field = snap_small_values(interpolate_nodal(spec, mesh))
+    assert plane_residuals(mesh, field, surf).max() <= 1e-12 * mesh.h
+
+    triangles = surf.triangles.copy()
+    first = set(triangles[0].tolist())
+    neighbour = next(t for t in triangles[1:] if len(first & set(t.tolist())) == 2)
+    triangles[0, 0] = next(v for v in neighbour if v not in first)
+    rewired = dataclasses.replace(surf, triangles=triangles)
+    assert plane_residuals(mesh, field, rewired).max() > 1e-3 * mesh.h
+
+    vertices = surf.vertices.copy()
+    vertices[0] += 1e-9
+    moved = dataclasses.replace(surf, vertices=vertices)
+    assert plane_residuals(mesh, field, moved).max() > 1e-9 * mesh.h
+
+    unparented = SurfaceMesh.from_arrays(surf.vertices, surf.triangles, h=mesh.h)
+    with pytest.raises(ValueError, match="no parent tet"):
+        plane_residuals(mesh, field, unparented)
 
 
 SURFACE_ARRAYS = ["vertices", "triangles", "vertex_edges", "vertex_t",
@@ -204,7 +230,6 @@ def test_narrow_band_matches_explicit_mesh(h, name):
     lattice = build_uniform_mesh(BOX, h)
     field = snap_small_values(interpolate_nodal(NARROW_BAND_FIELDS[name], lattice))
     surf = extract_surface(lattice, field)
-    raw = extract_raw(lattice, field)
     assert lattice._tets is None           # tets were never materialized
 
     explicit = TetMesh(lattice.nodes, lattice.tets, h=lattice.h, box=lattice.box)
@@ -218,8 +243,8 @@ def test_narrow_band_matches_explicit_mesh(h, name):
     else:
         assert surf.n_triangles > 0
     npt.assert_array_equal(
-        plane_residuals(lattice, field, raw),
-        plane_residuals(explicit, full_field, extract_raw(explicit, full_field)),
+        plane_residuals(lattice, field, surf),
+        plane_residuals(explicit, full_field, ref),
     )
     # lattice.tets now exists; the lattice still offers only its band
     ids, nodes = _candidate_tets(lattice, field.values)
