@@ -55,6 +55,7 @@ from .surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
+    scaled_mass_cond,
 )
 from .tet_grid import (
     BoxDomain,
@@ -102,6 +103,7 @@ __all__ = [
     "plane_residuals",
     "product_arctan_function",
     "quality_report",
+    "scaled_mass_cond",
     "shape_regularity",
     "snap_small_values",
     "spd_cond",

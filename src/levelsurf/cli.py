@@ -49,6 +49,7 @@ from .surface_fem import (
     interpolate,
     h1_semi_error,
     l2_error,
+    scaled_mass_cond,
 )
 from .tet_grid import BoxDomain, build_uniform_mesh
 
@@ -227,7 +228,10 @@ def _sphere_surface(box: BoxDomain, h: float, zc: float, radius: float):
     mesh = build_uniform_mesh(box, h)
     spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
     field = snap_small_values(interpolate_nodal(spec, mesh))
-    return spec, extract_surface(mesh, field)
+    surface = extract_surface(mesh, field)
+    if surface.n_triangles == 0:
+        raise ValueError("the level set does not cut the mesh (empty surface)")
+    return spec, surface
 
 
 def _quality_row(zc: float, report) -> list:
@@ -239,10 +243,6 @@ def _quality_row(zc: float, report) -> list:
 def cmd_extract(args: argparse.Namespace) -> int:
     out = _prepare_out(args)
     spec, surface = _sphere_surface(args.box, args.h, args.zc, args.radius)
-    if surface.n_triangles == 0:
-        print("error: the level set does not cut the mesh "
-              "(empty surface)", file=sys.stderr)
-        return 1
     report = quality_report(surface, spec)
     lsio.write_json(os.path.join(out, "quality.json"), report.as_dict())
     lsio.write_csv(os.path.join(out, "quality.csv"), QUALITY_COLUMNS,
@@ -286,6 +286,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         print("error: convergence needs at least 3 mesh sizes",
               file=sys.stderr)
         return 1
+    if len(set(hs)) < len(hs):
+        print("error: convergence needs distinct mesh sizes",
+              file=sys.stderr)
+        return 1
     u = _FUNCTIONS[args.function]()
     rows = []
     results = []
@@ -323,12 +327,11 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
     for zc in args.zc_list:
         spec, surface = _sphere_surface(args.box, args.h, zc, args.radius)
         report = quality_report(surface, spec)
-        Ms, _ = diag_scale(assemble_mass(surface))
+        cond_ms = scaled_mass_cond(assemble_mass(surface)).cond
         A = assemble_stiffness(surface)
         As, d = diag_scale(A)
         kernel = np.sqrt(d)
         kernel /= np.linalg.norm(kernel)
-        cond_ms = spd_cond(Ms).cond
         try:
             cond_as = effective_cond(As, kernel).cond
         except EigNonConvergence:
@@ -404,9 +407,8 @@ def cmd_massbound(args: argparse.Namespace) -> int:
     for h in sorted(args.h_list, reverse=True):
         _, surface = _sphere_surface(args.box, h, args.zc, args.radius)
         M = assemble_mass(surface)
-        Ms, _ = diag_scale(M)
         cond_m = spd_cond(M).cond
-        cond_ms = spd_cond(Ms).cond
+        cond_ms = scaled_mass_cond(M).cond
         within = bool(cond_ms <= MASS_COND_BOUND)
         all_within = all_within and within
         rows.append([h, surface.n_vertices, cond_m, cond_ms,

@@ -10,12 +10,9 @@ lower-entry rank, in the same floating-point order as a row-by-row loop.
 Its triangular factors are wrapped once in SuperLU solvers (natural
 order, no pivoting, no fill), so each preconditioner application is two
 substitution sweeps.  Extreme eigenvalues come from one Lanczos routine
-with full reorthogonalization that tracks one Ritz pair per end and forms
-no Ritz vectors.  The largest is taken from a run on the matrix itself.
-The smallest of a positive definite matrix is taken from the same Krylov
-basis when it converges within twice the steps the largest needed;
-otherwise, and always for the smallest nonzero eigenvalue of a deflated
-semidefinite matrix, it comes from a shift-invert run through a sparse LU
+with full reorthogonalization that tracks the top Ritz pair and forms no
+Ritz vector.  The largest eigenvalue is taken from a run on the matrix
+itself, the smallest from a shift-invert run through a sparse LU
 (symmetric minimum-degree order, diagonal pivots) of the slightly
 regularized matrix, so that a singular matrix is never factorized.
 Effective condition numbers project a supplied kernel vector off every
@@ -377,10 +374,9 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
 # Lanczos extreme eigenvalues
 
 
-def _end_ritz(alphas, betas, bottom):
-    """Largest and, with ``bottom``, smallest Ritz value, with the last
-    components of their tridiagonal eigenvectors; past 64 steps only these
-    pairs are computed."""
+def _end_ritz(alphas, betas):
+    """Largest Ritz value and the last component of its tridiagonal
+    eigenvector; past 64 steps only this pair is computed."""
     a = np.asarray(alphas)
     b = np.asarray(betas)
     k = len(a)
@@ -391,35 +387,23 @@ def _end_ritz(alphas, betas, bottom):
             vals, vecs = sla.eigh_tridiagonal(
                 a, b, select="i", select_range=(k - 1, k - 1)
             )
-            if bottom:
-                low, low_vec = sla.eigh_tridiagonal(
-                    a, b, select="i", select_range=(0, 0)
-                )
-                vals = np.concatenate((low, vals))
-                vecs = np.hstack((low_vec, vecs))
         except sla.LinAlgError:
             vals, vecs = sla.eigh_tridiagonal(a, b)
     # eigh_tridiagonal returns the values ascending
-    ends = [-1, 0] if bottom else [-1]
-    return vals[ends], vecs[-1, ends]
+    return vals[-1], vecs[-1, -1]
 
 
-def _lanczos(apply_op, n, rng, tol, maxiter, project=None, bottom=False):
-    """End eigenvalues of a symmetric operator, full reorthogonalization.
+def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
+    """Largest eigenvalue of a symmetric operator, full reorthogonalization.
 
-    Tracks one Ritz pair at the top and, with ``bottom``, one at the
-    bottom; no Ritz vector is formed.  A pair has converged when its
-    residual bound beta * |last component| falls below tol * |value|.  The
-    run stops when every tracked pair has converged, or on Krylov breakdown
-    (invariant subspace, estimates exact).  If the top pair converges
-    first, at step k_top, the bottom pair gets until step 2 k_top: the
-    dense reorthogonalization costs O(k^2 n), so an unconverged bottom end
-    costs at most three times the top run.  ``project`` is applied to the
-    start vector and to every new Lanczos vector.
+    Tracks the top Ritz pair; no Ritz vector is formed.  The pair has
+    converged when its residual bound beta * |last component| falls below
+    tol * |value|.  The run stops then, or on Krylov breakdown (invariant
+    subspace, estimate exact).  ``project`` is applied to the start vector
+    and to every new Lanczos vector.
 
-    Returns (top, bottom) as floats; bottom is None unless it was asked
-    for and converged.  Raises EigNonConvergence, with the best top value,
-    if the top pair does not converge within ``maxiter`` steps.
+    Returns the top Ritz value as a float.  Raises EigNonConvergence, with
+    the best value, if it does not converge within ``maxiter`` steps.
     """
     maxiter = min(maxiter, n)
     V = np.empty((maxiter + 1, n))
@@ -433,7 +417,6 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None, bottom=False):
     alphas: list[float] = []
     betas: list[float] = []
     alpha_max = beta_max = 0.0
-    k_top = None
 
     for k in range(maxiter):
         w = apply_op(V[k])
@@ -449,23 +432,17 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None, bottom=False):
         alpha_max = max(alpha_max, abs(alphas[-1]))
         exact = beta <= 1e-14 * (alpha_max + beta_max) or k + 1 == n
         if k < 64 or k % 8 == 0 or k == maxiter - 1 or exact:
-            vals, last = _end_ritz(alphas, betas, bottom)
-            ok = beta * np.abs(last) <= tol * np.maximum(np.abs(vals), 1e-300)
-            if k_top is None and ok[0]:
-                k_top = k + 1
-            if exact or ok.all() or (
-                k_top is not None and (k + 1 >= 2 * k_top or k == maxiter - 1)
-            ):
-                low = float(vals[1]) if bottom and (exact or ok[1]) else None
-                return float(vals[0]), low
+            val, last = _end_ritz(alphas, betas)
+            if exact or beta * abs(last) <= tol * max(abs(val), 1e-300):
+                return float(val)
         betas.append(beta)
         beta_max = max(beta_max, beta)
         V[k + 1] = w / beta
 
-    vals, _ = _end_ritz(alphas, betas[:-1], False)
+    val, _ = _end_ritz(alphas, betas[:-1])
     raise EigNonConvergence(
         f"Lanczos did not converge within {maxiter} iterations",
-        best=float(vals[0]))
+        best=float(val))
 
 
 def _deflation_projector(deflate: np.ndarray):
@@ -490,11 +467,9 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
     inverse of A + delta*I (sparse LU; delta a tiny multiple of |A| so a
     singular input is never factorized) and returns 1/mu - delta: the
     bottom of the spectrum becomes the well-separated top of the inverse's.
-    :func:`spd_cond` falls back to this run when the bottom end does not
-    converge in its direct run.  With ``deflate`` the supplied near-kernel
-    direction is projected off the start vector and every new Lanczos
-    vector, so the Krylov basis is orthogonal to it and "min" is the
-    smallest nonzero eigenvalue.
+    With ``deflate`` the supplied near-kernel direction is projected off
+    the start vector and every new Lanczos vector, so the Krylov basis is
+    orthogonal to it and "min" is the smallest nonzero eigenvalue.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -508,7 +483,7 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
 
     if which == "max":
         return _lanczos(lambda v: A @ v, n, rng, tol, maxiter,
-                        project=project)[0]
+                        project=project)
 
     if which != "min":
         raise ValueError("which must be 'max' or 'min'")
@@ -526,7 +501,7 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
 
-    mu, _ = _lanczos(lu.solve, n, rng, tol, maxiter, project=project)
+    mu = _lanczos(lu.solve, n, rng, tol, maxiter, project=project)
     if mu <= 0.0:
         raise EigNonConvergence(
             "inverse operator returned a non-positive Ritz value")
@@ -562,23 +537,11 @@ def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
 
 
 def spd_cond(A, tol: float = 1e-6, seed: int = 0) -> CondEstimate:
-    """lambda_max / lambda_min for a positive definite matrix.
-
-    Both ends come from one Lanczos run on A itself.  Once lambda_max has
-    converged at step k_top, the run continues for lambda_min up to step
-    2 k_top; if lambda_min has not converged by then (a badly conditioned
-    A), it is computed by the shift-invert run of
-    ``eig_extreme(A, "min")`` instead, and only then is A factored.
-    Raises EigNonConvergence, with the best lambda_max, if lambda_max does
-    not converge within min(n, 600) steps.
-    """
-    A = _as_csr(A)
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    lam_max, lam_min = _lanczos(lambda v: A @ v, n, rng, tol, min(n, 600),
-                                bottom=True)
-    if lam_min is None:
-        lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
+    """lambda_max / lambda_min for a positive definite matrix, from
+    ``eig_extreme(A, "max")`` and ``eig_extreme(A, "min")``.  For a P1 mass
+    matrix see :func:`~levelsurf.surface_fem.scaled_mass_cond`."""
+    lam_max = eig_extreme(A, "max", tol=tol, seed=seed)
+    lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
     return _cond_estimate(lam_max, lam_min, deflated=False)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .level_set import SurfaceFunction
+from .sparse_linalg import CondEstimate, eig_extreme
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot
 
@@ -32,6 +33,7 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "diag_scale",
+    "scaled_mass_cond",
 ]
 
 # Symmetric 6-point triangle rule, exact for polynomials of degree 4.
@@ -216,3 +218,25 @@ def diag_scale(A: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     out.setdiag(1.0)
     out.sort_indices()
     return out, d
+
+
+def scaled_mass_cond(M: sp.spmatrix) -> CondEstimate:
+    """cond(M^s) of a P1 mass matrix M, M^s = D^{-1/2} M D^{-1/2}.
+
+    The element matrix |T| (J + I) / 12 makes every row of M sum to twice
+    its diagonal entry, M 1 = 2 D 1, and 2 D - M = sum_T |T| (3 I - J) / 12
+    is positive semidefinite.  So lambda_max(M^s) = 2 exactly, with
+    eigenvector D^{1/2} 1, and the spectrum lies in [1/2, 2] (Wathen, IMA J.
+    Numer. Anal. 7, 1987).  Only lambda_min is estimated, as 2 minus the
+    largest eigenvalue of 2 I - M^s by Lanczos; a Ritz value is an inner
+    bound, so the estimate stays >= 1/2 and cond <= 4.  Raises ValueError
+    unless the rows of M sum to 2 diag(M) to 1e-12 relative.
+    """
+    Ms, d = diag_scale(M)
+    excess = np.linalg.norm(M @ np.ones(len(d)) - 2.0 * d)
+    if not excess <= 1e-12 * np.linalg.norm(2.0 * d):
+        raise ValueError("not a P1 mass matrix: row sums are not twice "
+                         f"the diagonal (excess {excess:.3e})")
+    lam_min = 2.0 - eig_extreme(2.0 * sp.identity(len(d), format="csr") - Ms,
+                                "max")
+    return CondEstimate(2.0, lam_min, 2.0 / lam_min, deflated=False)

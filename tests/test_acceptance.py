@@ -34,6 +34,7 @@ from levelsurf.surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
+    scaled_mass_cond,
 )
 from levelsurf.tet_grid import BoxDomain, build_uniform_mesh
 
@@ -92,8 +93,7 @@ def test_criterion_2_mass_conditioning(zc_sweep, h_sweep):
     surfaces = [(f"z_c={zc}", s) for zc, _, s in zc_sweep["surfaces"]]
     surfaces += [(f"h={h}", s) for h, _, s in h_sweep["levels"][:-1]]
     for label, surf in surfaces:
-        Ms, _ = diag_scale(assemble_mass(surf))
-        cond = spd_cond(Ms).cond
+        cond = scaled_mass_cond(assemble_mass(surf)).cond
         assert cond <= MASS_BOUND, f"{label}: cond(Ms)={cond}"
 
 

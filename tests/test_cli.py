@@ -73,6 +73,12 @@ def test_operational_error_exits_1(tmp_path, capsys):
     # too fine to index with int64 node ids; rejected before any allocation
     (["extract", "--h", "1e-300"], "h=1e-300"),
     (["extract", "--h", "1e-6"], "h=1e-06"),
+    # a sphere outside the box: every sphere command names the empty surface
+    (["extract", "--h", "0.5", "--zc", "10"], "empty surface"),
+    (["convergence", "--h-list", "0.5,0.25,0.125", "--zc", "10"],
+     "empty surface"),
+    (["conditioning", "--h", "0.5", "--zc-list", "10"], "empty surface"),
+    (["massbound", "--h-list", "0.5,0.25", "--zc", "10"], "empty surface"),
 ])
 def test_bad_mesh_or_sphere_input_exits_1(argv, bad, tmp_path, capsys):
     # A non-finite h or sphere is named in one plain error line: no cast
@@ -164,6 +170,14 @@ def test_convergence_needs_three_levels(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "at least 3" in capsys.readouterr().err
+
+
+def test_convergence_repeated_mesh_size_exits_1(tmp_path, capsys):
+    code = main(["convergence", "--h-list", "0.25,0.25,0.125",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "distinct mesh sizes" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
 
 
 def test_convergence_three_levels_pass(tmp_path, capsys):

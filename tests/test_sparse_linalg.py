@@ -7,7 +7,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import sphere_surface
 from levelsurf import sparse_linalg
 from levelsurf.sparse_linalg import (
     EigNonConvergence,
@@ -626,64 +625,22 @@ def test_spd_cond_singular_reports_huge():
     assert est.cond > 1e10
 
 
-def _count_shift_invert(monkeypatch):
-    """Count the shift-invert eig_extreme(A, "min") runs spd_cond makes."""
-    calls = []
-    eig = sparse_linalg.eig_extreme
-
-    def counting(A, which="max", **kw):
-        calls.append(which)
-        return eig(A, which, **kw)
-
-    monkeypatch.setattr(sparse_linalg, "eig_extreme", counting)
-    return calls
-
-
-def test_spd_cond_sphere_mass_matches_dense(sphere_h4, sphere_h8, monkeypatch):
-    # M and Ms at h = 1/4 take both ends from one run; at h = 1/8 the
-    # bottom end stalls and the shift-invert run takes over.  Either way
-    # both ends match the dense spectrum.
-    calls = _count_shift_invert(monkeypatch)
-    paths = set()
+def test_spd_cond_sphere_mass_matches_dense(sphere_h4, sphere_h8):
     for _, surf in (sphere_h4, sphere_h8):
         M = assemble_mass(surf)
         Ms, _ = diag_scale(M)
         for A in (M, Ms):
             w = np.linalg.eigvalsh(A.toarray())
-            calls.clear()
             est = spd_cond(A)
-            paths.add(tuple(calls))
             npt.assert_allclose(est.lambda_max, w[-1], rtol=1e-6)
             npt.assert_allclose(est.lambda_min, w[0], rtol=1e-6)
             npt.assert_allclose(est.cond, w[-1] / w[0], rtol=2e-6)
-    assert paths == {(), ("min",)}
 
 
-def test_spd_cond_well_conditioned_factors_nothing(monkeypatch):
-    # Ms at h = 1/16 (spectrum in [1/2, 2], n = 14 282): both ends converge
-    # in the direct run, so no LU is ever factored.
-    _, surf = sphere_surface(0.0625)
-    Ms, _ = diag_scale(assemble_mass(surf))
-    lam_min = eig_extreme(Ms, "min")
-
-    def no_lu(*args, **kwargs):
-        raise AssertionError("spd_cond factored a matrix")
-
-    monkeypatch.setattr(sparse_linalg.spla, "splu", no_lu)
-    est = spd_cond(Ms)
-    assert 0.5 <= est.lambda_min <= est.lambda_max <= 2.0
-    npt.assert_allclose(est.lambda_min, lam_min, rtol=1e-6)
-    assert est.cond <= 2.0 * (2.0 + np.sqrt(2.0))
-
-
-def test_spd_cond_ill_conditioned_falls_back(monkeypatch):
-    # cond = 1e9: the bottom end cannot meet its relative rule in the
-    # direct run, so lambda_min comes from the shift-invert run.
-    calls = _count_shift_invert(monkeypatch)
+def test_spd_cond_ill_conditioned():
     d = np.logspace(-9.0, 0.0, 700)
     A = sp.diags([d], [0], format="csr")
     est = spd_cond(A)
-    assert calls == ["min"]
     npt.assert_allclose(est.lambda_max, 1.0, rtol=1e-6)
     npt.assert_allclose(est.lambda_min, 1e-9, rtol=1e-6)
     npt.assert_allclose(est.cond, 1e9, rtol=2e-6)

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from levelsurf.level_set import (
@@ -9,7 +10,8 @@ from levelsurf.level_set import (
     coordinate_function,
     product_arctan_function,
 )
-from levelsurf import surface_fem
+from levelsurf import sparse_linalg, surface_fem
+from levelsurf.sparse_linalg import eig_extreme
 from levelsurf.surface_extract import SurfaceMesh
 from levelsurf.surface_fem import (
     TRI_QP_BARY,
@@ -20,10 +22,11 @@ from levelsurf.surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
+    scaled_mass_cond,
 )
 from levelsurf.level_set import SurfaceFunction
 
-from conftest import dirichlet_energy, vertex_support_areas
+from conftest import dirichlet_energy, sphere_surface, vertex_support_areas
 
 MASS_BOUND = 2.0 * (2.0 + np.sqrt(2.0))  # 6.8284...
 
@@ -224,8 +227,6 @@ def test_diag_scale_mass(sphere_h4):
 
 
 def test_diag_scale_rejects_nonpositive():
-    import scipy.sparse as sp
-
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="row 1"):
         diag_scale(A)
@@ -243,6 +244,48 @@ def test_scaled_mass_condition_bound_flat_patch():
     Ms, _ = diag_scale(assemble_mass(flat_patch(6)))
     w = np.linalg.eigvalsh(Ms.toarray())
     assert w[-1] / w[0] <= MASS_BOUND
+
+
+@pytest.mark.parametrize("h", [0.25, 0.125])
+@pytest.mark.parametrize("zc", [0.0, 0.0005, 0.03])
+def test_scaled_mass_cond_matches_dense(h, zc):
+    _, surf = sphere_surface(h, zc=zc)
+    M = assemble_mass(surf)
+    Ms, _ = diag_scale(M)
+    w = np.linalg.eigvalsh(Ms.toarray())
+    est = scaled_mass_cond(M)
+    assert est.lambda_max == 2.0
+    npt.assert_allclose(w[-1], 2.0, rtol=1e-12)
+    npt.assert_allclose(est.lambda_min, w[0], rtol=1e-6)
+    assert est.lambda_min >= 0.5 and est.cond <= 4.0
+    assert est.cond == 2.0 / est.lambda_min and not est.deflated
+
+
+def test_scaled_mass_cond_rejects_other_matrices(sphere_h4):
+    _, surf = sphere_h4
+    with pytest.raises(ValueError, match="not a P1 mass matrix"):
+        scaled_mass_cond(assemble_stiffness(surf))
+    diagonal = sp.diags(assemble_mass(surf).diagonal(), format="csr")
+    with pytest.raises(ValueError, match="not a P1 mass matrix"):
+        scaled_mass_cond(diagonal)
+
+
+def test_scaled_mass_cond_factors_nothing(monkeypatch):
+    # Ms at h = 1/16 (n = 14 282): lambda_max is known and lambda_min comes
+    # from a direct run on 2 I - Ms, so no LU is ever factored.
+    _, surf = sphere_surface(0.0625)
+    M = assemble_mass(surf)
+    Ms, _ = diag_scale(M)
+    lam_min = eig_extreme(Ms, "min")
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("scaled_mass_cond factored a matrix")
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", no_lu)
+    est = scaled_mass_cond(M)
+    npt.assert_allclose(est.lambda_min, lam_min, rtol=1e-6)
+    assert 0.5 <= est.lambda_min <= est.lambda_max == 2.0
+    assert est.cond <= MASS_BOUND
 
 
 def test_interpolate_constant(sphere_h4):
