@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_dict(args: argparse.Namespace) -> dict:
     config = {}
     for key, value in sorted(vars(args).items()):
-        if key == "func":
-            continue
         if isinstance(value, BoxDomain):
             value = {"lo": list(value.lo), "hi": list(value.hi)}
         config[key] = value

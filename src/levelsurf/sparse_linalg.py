@@ -9,14 +9,16 @@ independent, and each level is eliminated by a few vectorized updates per
 lower-entry rank, in the same floating-point order as a row-by-row loop.
 Its triangular factors are wrapped once in SuperLU solvers (natural
 order, no pivoting, no fill), so each preconditioner application is two
-substitution sweeps.  Extreme eigenvalues come from one Lanczos routine
-with full reorthogonalization that tracks the top Ritz pair and forms no
-Ritz vector.  The largest eigenvalue is taken from a run on the matrix
-itself, the smallest from a shift-invert run through a sparse LU
-(symmetric minimum-degree order, diagonal pivots) of the slightly
-regularized matrix, so that a singular matrix is never factorized.
-Effective condition numbers project a supplied kernel vector off every
-Krylov vector and report lambda_max / lambda_2.
+substitution sweeps.  Extreme eigenvalues come from the three-term
+Lanczos recurrence on two vectors, tracking the top Ritz pair; lost
+orthogonality only repeats converged Ritz values, so an end value needs
+no reorthogonalization.  A run stops on a small residual bound, on Krylov
+breakdown or at its step cap.  The largest eigenvalue is taken from a run
+on the matrix itself, the smallest from a shift-invert run through a
+sparse LU (symmetric minimum-degree order, diagonal pivots) of the
+slightly regularized matrix, so that a singular matrix is never
+factorized.  Effective condition numbers project a supplied kernel vector
+off every Krylov vector and report lambda_max / lambda_2.
 """
 
 from __future__ import annotations
@@ -376,68 +378,63 @@ def ilu0_factor(A, modified: bool = False) -> tuple[sp.csr_matrix, sp.csr_matrix
 
 def _end_ritz(alphas, betas):
     """Largest Ritz value and the last component of its tridiagonal
-    eigenvector; past 64 steps only this pair is computed."""
-    a = np.asarray(alphas)
-    b = np.asarray(betas)
-    k = len(a)
-    if k <= 64:
-        vals, vecs = sla.eigh_tridiagonal(a, b)
-    else:
-        try:
-            vals, vecs = sla.eigh_tridiagonal(
-                a, b, select="i", select_range=(k - 1, k - 1)
-            )
-        except sla.LinAlgError:
-            vals, vecs = sla.eigh_tridiagonal(a, b)
+    eigenvector; only this pair is computed."""
+    k = len(alphas)
+    try:
+        vals, vecs = sla.eigh_tridiagonal(alphas, betas, select="i",
+                                          select_range=(k - 1, k - 1))
+    except sla.LinAlgError:
+        vals, vecs = sla.eigh_tridiagonal(alphas, betas)
     # eigh_tridiagonal returns the values ascending
     return vals[-1], vecs[-1, -1]
 
 
 def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
-    """Largest eigenvalue of a symmetric operator, full reorthogonalization.
+    """Largest eigenvalue of a symmetric operator by the three-term
+    Lanczos recurrence on two vectors: O(n) memory per run.
 
-    Tracks the top Ritz pair; no Ritz vector is formed.  The pair has
-    converged when its residual bound beta * |last component| falls below
-    tol * |value|.  The run stops then, or on Krylov breakdown (invariant
-    subspace, estimate exact).  ``project`` is applied to the start vector
-    and to every new Lanczos vector.
+    Lost orthogonality comes with convergence and only repeats converged
+    Ritz values, and beta * |last component| of the top Ritz pair still
+    bounds its distance to an eigenvalue up to O(eps |A|) (Paige, Linear
+    Algebra Appl. 34, 1980; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13), so no reorthogonalization is needed.  A run stops when that
+    bound is below tol * |value| (checked at steps 0-63, then every 8th
+    and the last), or on Krylov breakdown (an invariant subspace: exact).
+    ``project`` is applied to the start vector and every new vector.
 
     Returns the top Ritz value as a float.  Raises EigNonConvergence, with
     the best value, if it does not converge within ``maxiter`` steps.
     """
-    maxiter = min(maxiter, n)
-    V = np.empty((maxiter + 1, n))
     v = rng.standard_normal(n)
     if project is not None:
         v = project(v)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValueError("start vector vanished under deflation")
-    V[0] = v / nv
-    alphas: list[float] = []
-    betas: list[float] = []
+    v = v / nv
+    v_prev = None
+    alphas, betas = [], []
     alpha_max = beta_max = 0.0
 
     for k in range(maxiter):
-        w = apply_op(V[k])
-        alphas.append(float(V[k] @ w))
-        w = w - alphas[-1] * V[k]
+        w = apply_op(v)
+        alphas.append(float(v @ w))
+        w = w - alphas[-1] * v
         if k:
-            w -= betas[-1] * V[k - 1]
-        w -= V[: k + 1].T @ (V[: k + 1] @ w)
+            w -= betas[-1] * v_prev
         if project is not None:
             w = project(w)
         beta = float(np.linalg.norm(w))
 
         alpha_max = max(alpha_max, abs(alphas[-1]))
-        exact = beta <= 1e-14 * (alpha_max + beta_max) or k + 1 == n
+        exact = beta <= 1e-14 * (alpha_max + beta_max)
         if k < 64 or k % 8 == 0 or k == maxiter - 1 or exact:
             val, last = _end_ritz(alphas, betas)
             if exact or beta * abs(last) <= tol * max(abs(val), 1e-300):
                 return float(val)
         betas.append(beta)
         beta_max = max(beta_max, beta)
-        V[k + 1] = w / beta
+        v_prev, v = v, w / beta
 
     val, _ = _end_ritz(alphas, betas[:-1])
     raise EigNonConvergence(
@@ -468,13 +465,15 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
     singular input is never factorized) and returns 1/mu - delta: the
     bottom of the spectrum becomes the well-separated top of the inverse's.
     With ``deflate`` the supplied near-kernel direction is projected off
-    the start vector and every new Lanczos vector, so the Krylov basis is
-    orthogonal to it and "min" is the smallest nonzero eigenvalue.
+    the start vector and every new Lanczos vector, so each is orthogonal
+    to it and "min" is the smallest nonzero eigenvalue.  ``maxiter``
+    (at least 1, default 600) caps the Lanczos steps.
     """
     A = _as_csr(A)
     n = A.shape[0]
-    if maxiter is None:
-        maxiter = min(n, 600)
+    maxiter = 600 if maxiter is None else maxiter
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     rng = np.random.default_rng(seed)
 
     khat = project = None

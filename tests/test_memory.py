@@ -1,18 +1,24 @@
-"""Peak memory of nodal sampling and error quadrature.
+"""Peak memory of nodal sampling, error quadrature and eigen-estimates.
 
 tracemalloc counts numpy's array allocations, so the traced peak of a call
 is the most numpy memory alive at once inside it.  The bounds hold for a
-node-free lattice sampled in bounded chunks and for quadrature in fixed-size
-triangle blocks; sampling an (N, 3) node array at once peaks near 11x the
-nodal field, and whole-surface quadrature at h = 1/32 near 115 MiB.
+node-free lattice sampled in bounded chunks, for quadrature in fixed-size
+triangle blocks and for a Lanczos run that keeps two vectors; sampling an
+(N, 3) node array at once peaks near 11x the nodal field, whole-surface
+quadrature at h = 1/32 near 115 MiB, and a Lanczos run that keeps its
+whole Krylov basis near 600 vectors at h = 1/16.
 """
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from levelsurf import SphereLevelSet, build_uniform_mesh, interpolate_nodal
 from levelsurf.level_set import product_arctan_function
-from levelsurf.surface_fem import h1_semi_error, interpolate, l2_error
+from levelsurf.sparse_linalg import effective_cond
+from levelsurf.surface_fem import (assemble_mass, assemble_stiffness,
+                                   diag_scale, h1_semi_error, interpolate,
+                                   l2_error, scaled_mass_cond)
 
 from conftest import BOX, sphere_surface
 
@@ -49,3 +55,23 @@ def test_error_quadrature_peak_is_bounded(sphere_h32, error):
     coeffs = interpolate(u, spec, surf)
     peak = traced_peak(lambda: error(u, spec, surf, coeffs))
     assert peak < 16 * MIB, f"{peak / MIB:.1f} MiB"
+
+
+@pytest.fixture(scope="module")
+def sphere_h16():
+    return sphere_surface(0.0625)
+
+
+@pytest.mark.parametrize("estimate", ["scaled_mass_cond", "effective_cond"])
+def test_eigen_estimate_peak_is_a_few_vectors(sphere_h16, estimate):
+    _, surf = sphere_h16
+    if estimate == "scaled_mass_cond":
+        M = assemble_mass(surf)
+        n = M.shape[0]
+        peak = traced_peak(lambda: scaled_mass_cond(M))
+    else:
+        As, d = diag_scale(assemble_stiffness(surf))
+        n = len(d)
+        peak = traced_peak(lambda: effective_cond(As, np.sqrt(d)))
+    vectors = peak / (8 * n)
+    assert vectors < 64, f"{vectors:.0f} float64 vectors of length n = {n}"

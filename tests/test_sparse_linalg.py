@@ -513,8 +513,12 @@ def test_eig_extreme_seed_deterministic():
 
 
 def test_eig_extreme_rejects_bad_which():
+    I3 = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
-        eig_extreme(sp.identity(3, format="csr"), "median")
+        eig_extreme(I3, "median")
+    for maxiter in (0, -1):
+        with pytest.raises(ValueError, match=f"maxiter .* got {maxiter}"):
+            eig_extreme(I3, "max", maxiter=maxiter)
 
 
 def test_eig_extreme_nonconvergence_carries_best():
@@ -525,6 +529,30 @@ def test_eig_extreme_nonconvergence_carries_best():
         eig_extreme(A, "max", tol=1e-14, maxiter=5)
     assert exc.value.best is not None
     assert abs(exc.value.best - w[-1]) < 0.5 * w[-1]
+
+
+@pytest.mark.parametrize("lams", [
+    np.concatenate(([-10.0], np.linspace(0.0, 1.0, 2000))),
+    np.concatenate(([-10.0, -9.0], np.linspace(0.0, 1.0, 1000), [1.001])),
+], ids=["one-isolated", "two-isolated"])
+def test_eig_extreme_max_past_loss_of_orthogonality(monkeypatch, lams):
+    # The isolated bottom converges within a few steps, after which the
+    # plain recurrence loses orthogonality (|V^T V - I| near 1) long before
+    # the clustered top converges; the top must still be accurate.
+    A = sp.diags([lams], [0], format="csr")
+    vectors = []
+    lanczos = sparse_linalg._lanczos
+
+    def recording(apply_op, n, rng, tol, maxiter, **kw):
+        def op(v):
+            vectors.append(v.copy())
+            return apply_op(v)
+        return lanczos(op, n, rng, tol, maxiter, **kw)
+
+    monkeypatch.setattr(sparse_linalg, "_lanczos", recording)
+    npt.assert_allclose(eig_extreme(A, "max"), lams.max(), rtol=1e-9)
+    V = np.array(vectors)
+    assert np.abs(V @ V.T - np.eye(len(V))).max() > 0.5
 
 
 def test_eig_extreme_deflated_min():
