@@ -57,7 +57,10 @@ class SphereLevelSet:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
-        return np.linalg.norm(p - self.center, axis=-1) - self.radius
+        # A distance past the float range becomes inf, which the caller's
+        # finiteness check rejects, without an overflow warning first.
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(p - self.center, axis=-1) - self.radius
 
     # phi already is the signed distance
     signed_distance = evaluate

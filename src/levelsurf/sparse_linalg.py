@@ -1,24 +1,26 @@
 """Sparse symmetric linear algebra: PCG, ILU(0), Lanczos extremes.
 
 Matrices are scipy CSR with both triangles stored.  The preconditioned
-conjugate gradient follows the textbook recurrence with a relative
-residual stopping rule; ILU(0) keeps the factor pattern identical to the
-input pattern.  It is factored by level scheduling: the rows fall into
-wavefront levels of the strict-lower pattern, rows of one level are
-independent, and each level is eliminated by a few vectorized updates per
-lower-entry rank, in the same floating-point order as a row-by-row loop.
-Its triangular factors are wrapped once in SuperLU solvers (natural
-order, no pivoting, no fill), so each preconditioner application is two
-substitution sweeps.  Extreme eigenvalues come from the three-term
-Lanczos recurrence on two vectors, tracking the top Ritz pair; lost
-orthogonality only repeats converged Ritz values, so an end value needs
-no reorthogonalization.  A run stops on a small residual bound, on Krylov
-breakdown or at its step cap.  The largest eigenvalue is taken from a run
-on the matrix itself, the smallest from a shift-invert run through a
-sparse LU (symmetric minimum-degree order, diagonal pivots) of the
-slightly regularized matrix, so that a singular matrix is never
-factorized.  Effective condition numbers project a supplied kernel vector
-off every Krylov vector and report lambda_max / lambda_2.
+conjugate gradient follows the textbook recurrence from x = 0, with a
+relative residual stopping rule and at most n steps; its preconditioner
+is "none", "jacobi", "ilu0" or "milu0".  ILU(0) keeps the factor pattern
+identical to the input pattern.  It is factored by level scheduling: the
+rows fall into wavefront levels of the strict-lower pattern, rows of one
+level are independent, and each level is eliminated by a few vectorized
+updates per lower-entry rank, in the same floating-point order as a
+row-by-row loop.  Its triangular factors are wrapped once in SuperLU
+solvers (natural order, no pivoting, no fill), so each preconditioner
+application is two substitution sweeps.  Extreme eigenvalues come from
+the three-term Lanczos recurrence on two vectors, tracking the top Ritz
+pair; lost orthogonality only repeats converged Ritz values, so an end
+value needs no reorthogonalization.  A run starts from a seed-0 random
+vector and stops on a residual bound below 1e-6 times the Ritz value, on
+Krylov breakdown or at its cap of 600 steps.  The largest eigenvalue is
+taken from a run on the matrix itself, the smallest from a shift-invert
+run through a sparse LU (symmetric minimum-degree order, diagonal
+pivots) of the slightly regularized matrix, so that a singular matrix is
+never factorized.  Effective condition numbers project a supplied kernel
+vector off every Krylov vector and report lambda_max / lambda_2.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class CondEstimate:
     lambda_max: float
     lambda_min: float
     cond: float
-    deflated: bool
 
 
 def _as_csr(A) -> sp.csr_matrix:
@@ -124,8 +125,8 @@ class ILU0Preconditioner:
         return self._solve_U(self._solve_L(r))
 
 
-def _make_preconditioner(A: sp.csr_matrix, precond):
-    if precond is None or precond == "none":
+def _make_preconditioner(A: sp.csr_matrix, precond: str):
+    if precond == "none":
         return None
     if precond == "jacobi":
         return JacobiPreconditioner(A)
@@ -133,13 +134,10 @@ def _make_preconditioner(A: sp.csr_matrix, precond):
         return ILU0Preconditioner(A)
     if precond == "milu0":
         return ILU0Preconditioner(A, modified=True)
-    if hasattr(precond, "apply"):
-        return precond
     raise ValueError(f"unknown preconditioner {precond!r}")
 
 
-def pcg(A, b, tol: float = 1e-8, maxiter: int | None = None,
-        precond=None, x0: np.ndarray | None = None):
+def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     """Conjugate gradient with optional preconditioning.
 
     Parameters
@@ -147,7 +145,10 @@ def pcg(A, b, tol: float = 1e-8, maxiter: int | None = None,
     A : sparse symmetric (positive semi-definite) matrix
     b : right-hand side
     tol : relative residual tolerance |b - Ax| / |b|
-    precond : None | "jacobi" | "ilu0" | "milu0" | object with .apply(r)
+    precond : "none" | "jacobi" | "ilu0" | "milu0"
+
+    The iteration starts from x = 0 and stops after at most n steps, n the
+    dimension of A.
 
     Returns
     -------
@@ -161,22 +162,20 @@ def pcg(A, b, tol: float = 1e-8, maxiter: int | None = None,
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    if maxiter is None:
-        maxiter = n
     M = _make_preconditioner(A, precond)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x * 0.0, SolveStats(0, 0.0, True)
-    r = b - A @ x if x.any() else b.copy()
+        return x, SolveStats(0, 0.0, True)
+    r = b.copy()
     if np.linalg.norm(r) / bnorm <= tol:
         return x, SolveStats(0, float(np.linalg.norm(r) / bnorm), True)
 
     z = M.apply(r) if M is not None else r
     p = z.copy()
     rz = float(r @ z)
-    for it in range(1, maxiter + 1):
+    for it in range(1, n + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -199,7 +198,7 @@ def pcg(A, b, tol: float = 1e-8, maxiter: int | None = None,
             )
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveStats(maxiter, float(np.linalg.norm(b - A @ x) / bnorm), False)
+    return x, SolveStats(n, float(np.linalg.norm(b - A @ x) / bnorm), False)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,11 @@ def _end_ritz(alphas, betas):
     return vals[-1], vecs[-1, -1]
 
 
-def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
+_EIG_TOL = 1e-6
+_EIG_MAXITER = 600
+
+
+def _lanczos(apply_op, n, project=None):
     """Largest eigenvalue of a symmetric operator by the three-term
     Lanczos recurrence on two vectors: O(n) memory per run.
 
@@ -398,14 +401,16 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
     bounds its distance to an eigenvalue up to O(eps |A|) (Paige, Linear
     Algebra Appl. 34, 1980; Parlett, The Symmetric Eigenvalue Problem,
     ch. 13), so no reorthogonalization is needed.  A run stops when that
-    bound is below tol * |value| (checked at steps 0-63, then every 8th
-    and the last), or on Krylov breakdown (an invariant subspace: exact).
-    ``project`` is applied to the start vector and every new vector.
+    bound is below _EIG_TOL * |value| (checked at steps 0-63, then every
+    8th and the last), or on Krylov breakdown (an invariant subspace:
+    exact).  The start vector is drawn from ``default_rng(0)``, so a run is
+    deterministic.  ``project`` is applied to the start vector and every
+    new vector.
 
     Returns the top Ritz value as a float.  Raises EigNonConvergence, with
-    the best value, if it does not converge within ``maxiter`` steps.
+    the best value, if it does not converge within _EIG_MAXITER steps.
     """
-    v = rng.standard_normal(n)
+    v = np.random.default_rng(0).standard_normal(n)
     if project is not None:
         v = project(v)
     nv = np.linalg.norm(v)
@@ -416,7 +421,7 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
     alphas, betas = [], []
     alpha_max = beta_max = 0.0
 
-    for k in range(maxiter):
+    for k in range(_EIG_MAXITER):
         w = apply_op(v)
         alphas.append(float(v @ w))
         w = w - alphas[-1] * v
@@ -428,9 +433,9 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
 
         alpha_max = max(alpha_max, abs(alphas[-1]))
         exact = beta <= 1e-14 * (alpha_max + beta_max)
-        if k < 64 or k % 8 == 0 or k == maxiter - 1 or exact:
+        if k < 64 or k % 8 == 0 or k == _EIG_MAXITER - 1 or exact:
             val, last = _end_ritz(alphas, betas)
-            if exact or beta * abs(last) <= tol * max(abs(val), 1e-300):
+            if exact or beta * abs(last) <= _EIG_TOL * max(abs(val), 1e-300):
                 return float(val)
         betas.append(beta)
         beta_max = max(beta_max, beta)
@@ -438,7 +443,7 @@ def _lanczos(apply_op, n, rng, tol, maxiter, project=None):
 
     val, _ = _end_ritz(alphas, betas[:-1])
     raise EigNonConvergence(
-        f"Lanczos did not converge within {maxiter} iterations",
+        f"Lanczos did not converge within {_EIG_MAXITER} iterations",
         best=float(val))
 
 
@@ -455,8 +460,7 @@ def _deflation_projector(deflate: np.ndarray):
     return k, project
 
 
-def eig_extreme(A, which: str = "max", tol: float = 1e-6,
-                maxiter: int | None = None, seed: int = 0,
+def eig_extreme(A, which: str = "max",
                 deflate: np.ndarray | None = None) -> float:
     """Extreme eigenvalue estimate by Lanczos.
 
@@ -466,23 +470,19 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
     bottom of the spectrum becomes the well-separated top of the inverse's.
     With ``deflate`` the supplied near-kernel direction is projected off
     the start vector and every new Lanczos vector, so each is orthogonal
-    to it and "min" is the smallest nonzero eigenvalue.  ``maxiter``
-    (at least 1, default 600) caps the Lanczos steps.
+    to it and "min" is the smallest nonzero eigenvalue.  The Lanczos run
+    has a fixed relative tolerance (1e-6), step cap (600) and start vector
+    (seed 0); it raises EigNonConvergence at the cap.
     """
     A = _as_csr(A)
     n = A.shape[0]
-    maxiter = 600 if maxiter is None else maxiter
-    if maxiter < 1:
-        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
-    rng = np.random.default_rng(seed)
 
     khat = project = None
     if deflate is not None:
         khat, project = _deflation_projector(deflate)
 
     if which == "max":
-        return _lanczos(lambda v: A @ v, n, rng, tol, maxiter,
-                        project=project)
+        return _lanczos(lambda v: A @ v, n, project=project)
 
     if which != "min":
         raise ValueError("which must be 'max' or 'min'")
@@ -500,23 +500,21 @@ def eig_extreme(A, which: str = "max", tol: float = 1e-6,
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
 
-    mu = _lanczos(lu.solve, n, rng, tol, maxiter, project=project)
+    mu = _lanczos(lu.solve, n, project=project)
     if mu <= 0.0:
         raise EigNonConvergence(
             "inverse operator returned a non-positive Ritz value")
     return 1.0 / mu - delta
 
 
-def _cond_estimate(lam_max: float, lam_min: float,
-                   deflated: bool) -> CondEstimate:
+def _cond_estimate(lam_max: float, lam_min: float) -> CondEstimate:
     """lambda_max / lambda_min; inf when lambda_min <= 0 or underflows it."""
     bad = lam_min <= 0.0 or lam_min < abs(lam_max) * 1e-300
     cond = float("inf") if bad else float(lam_max / lam_min)
-    return CondEstimate(float(lam_max), float(lam_min), cond, deflated)
+    return CondEstimate(float(lam_max), float(lam_min), cond)
 
 
-def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
-                   seed: int = 0) -> CondEstimate:
+def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     """lambda_max / lambda_2 with the one-dimensional kernel deflated.
 
     ``kernel`` must actually be a kernel vector: |A k| <= 1e-8 lambda_max |k|
@@ -524,24 +522,24 @@ def effective_cond(A, kernel: np.ndarray, tol: float = 1e-6,
     """
     A = _as_csr(A)
     khat, _ = _deflation_projector(kernel)
-    lam_max = eig_extreme(A, "max", tol=tol, seed=seed, deflate=kernel)
+    lam_max = eig_extreme(A, "max", deflate=kernel)
     resid = float(np.linalg.norm(A @ khat))
     if resid > 1e-8 * abs(lam_max):
         raise ValueError(
             f"supplied vector is not in the kernel: |A k| = {resid:.3e} "
             f"> 1e-8 * lambda_max = {1e-8 * abs(lam_max):.3e}"
         )
-    lam2 = eig_extreme(A, "min", tol=tol, seed=seed, deflate=kernel)
-    return _cond_estimate(lam_max, lam2, deflated=True)
+    lam2 = eig_extreme(A, "min", deflate=kernel)
+    return _cond_estimate(lam_max, lam2)
 
 
-def spd_cond(A, tol: float = 1e-6, seed: int = 0) -> CondEstimate:
+def spd_cond(A) -> CondEstimate:
     """lambda_max / lambda_min for a positive definite matrix, from
     ``eig_extreme(A, "max")`` and ``eig_extreme(A, "min")``.  For a P1 mass
     matrix see :func:`~levelsurf.surface_fem.scaled_mass_cond`."""
-    lam_max = eig_extreme(A, "max", tol=tol, seed=seed)
-    lam_min = eig_extreme(A, "min", tol=tol, seed=seed)
-    return _cond_estimate(lam_max, lam_min, deflated=False)
+    lam_max = eig_extreme(A, "max")
+    lam_min = eig_extreme(A, "min")
+    return _cond_estimate(lam_max, lam_min)
 
 
 # ---------------------------------------------------------------------------

@@ -160,14 +160,15 @@ def _candidate_tets(mesh: TetMesh, vals: np.ndarray):
     surface), in increasing id order; ``tets`` is never built.  An explicit
     mesh offers all of its tets.
     """
-    if not mesh.is_kuhn_lattice:
-        return np.arange(mesh.n_tets, dtype=np.int64), mesh.tets
-    nx, ny, nz = mesh.n_cells
-    pos = (vals > 0.0).reshape(nz + 1, ny + 1, nx + 1)
-    mixed = _cube_reduce(np.logical_or, pos) & ~_cube_reduce(np.logical_and, pos)
-    cubes = np.flatnonzero(mixed)
-    tet_ids = (6 * cubes[:, None] + np.arange(6)).ravel()
-    return tet_ids, mesh.cube_tets(cubes)
+    if mesh.is_kuhn_lattice:
+        nx, ny, nz = mesh.n_cells
+        pos = (vals > 0.0).reshape(nz + 1, ny + 1, nx + 1)
+        mixed = (_cube_reduce(np.logical_or, pos)
+                 & ~_cube_reduce(np.logical_and, pos))
+        ids = (6 * np.flatnonzero(mixed)[:, None] + np.arange(6)).ravel()
+    else:
+        ids = np.arange(mesh.n_tets, dtype=np.int64)
+    return ids, mesh.tet_nodes(ids)
 
 
 # Row c: the cut edges of sign code c as local node pairs, in cyclic order

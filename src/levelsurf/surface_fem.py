@@ -55,6 +55,9 @@ TRI_QP_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 # Triangles per quadrature block of l2_error and h1_semi_error.
 _QUAD_BLOCK = 4096
 
+# Central-difference step of h1_semi_error, relative to a triangle's diameter.
+_FD_STEP_REL = 1e-6
+
 
 def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
     """Values of u's extension, u(closest point of spec), at ambient points.
@@ -113,14 +116,14 @@ def l2_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
 
 
 def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
-                  coeffs: np.ndarray, fd_step_rel: float = 1e-6) -> float:
+                  coeffs: np.ndarray) -> float:
     """H1 seminorm of the interpolation error, triangle by triangle.
 
     Both gradients are taken inside each triangle's plane: the P1 gradient
     is constant, sum_i c_i grad(lambda_i) with grad(lambda_i) = nh x
     (opposite edge) / (2 A); the reference gradient of u's extension is
-    approximated by central finite differences with step
-    fd_step_rel * diam(T) along an orthonormal in-plane basis.
+    approximated by central finite differences with step 1e-6 * diam(T)
+    along an orthonormal in-plane basis.
     """
 
     def ext(pts):
@@ -145,7 +148,7 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
             [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
         )
         diam = np.linalg.norm(edges, axis=2).max(axis=1)
-        step = (fd_step_rel * diam)[:, None, None]
+        step = (_FD_STEP_REL * diam)[:, None, None]
 
         qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
         du1 = (ext(qp + step * b1[:, None, :]) - ext(qp - step * b1[:, None, :])) / (
@@ -239,4 +242,4 @@ def scaled_mass_cond(M: sp.spmatrix) -> CondEstimate:
                          f"the diagonal (excess {excess:.3e})")
     lam_min = 2.0 - eig_extreme(2.0 * sp.identity(len(d), format="csr") - Ms,
                                 "max")
-    return CondEstimate(2.0, lam_min, 2.0 / lam_min, deflated=False)
+    return CondEstimate(2.0, lam_min, 2.0 / lam_min)

@@ -155,8 +155,11 @@ class TetMesh:
     @property
     def tets(self) -> np.ndarray:
         if self._tets is None:
-            nx, ny, nz = self.n_cells
-            self._set_tets(self.cube_tets(np.arange(nx * ny * nz)))
+            # tet_nodes(arange(n_tets)) per cube: the per-tet ids and their
+            # temporaries would double the peak memory of this build.
+            cubes = np.arange(self.n_tets // 6)
+            self._set_tets((self._cube_base(cubes)[:, None, None]
+                            + self._kuhn_offsets()).reshape(-1, 4))
         return self._tets
 
     @property
@@ -205,18 +208,6 @@ class TetMesh:
         nx, ny, _ = self.n_cells
         corner = _CORNER_OFFSETS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
         return corner[_KUHN_TETS]
-
-    def cube_tets(self, cubes: np.ndarray) -> np.ndarray:
-        """Node ids of the 6 Kuhn tets of each lattice cube, (6 * len, 4).
-
-        Rows run cube by cube, then by pattern, so row ``6 * i + p`` is tet
-        ``6 * cubes[i] + p``.
-        """
-        if not self._lattice:
-            raise ValueError("cube_tets needs a Kuhn lattice mesh")
-        cubes = np.asarray(cubes, dtype=np.int64)
-        return (self._cube_base(cubes)[:, None, None]
-                + self._kuhn_offsets()).reshape(-1, 4)
 
     def tet_nodes(self, tet_ids: np.ndarray) -> np.ndarray:
         """Node ids of the given tets, (len, 4), without building ``tets``."""

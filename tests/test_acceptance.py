@@ -187,19 +187,19 @@ def test_criterion_7_oracle_equivalence(sphere_h4):
     # to 1e-12.
     A_ref = build_reference_matrix(blocks=12, size=12)   # N = 1728
     w = np.linalg.eigvalsh(A_ref.toarray())
-    npt.assert_allclose(eig_extreme(A_ref, "max", tol=1e-8), w[-1], rtol=1e-6)
-    npt.assert_allclose(eig_extreme(A_ref, "min", tol=1e-8), w[0], rtol=1e-6)
+    npt.assert_allclose(eig_extreme(A_ref, "max"), w[-1], rtol=1e-6)
+    npt.assert_allclose(eig_extreme(A_ref, "min"), w[0], rtol=1e-6)
 
     _, surf = sphere_h4
     Ms, _ = diag_scale(assemble_mass(surf))
     wm = np.linalg.eigvalsh(Ms.toarray())
-    est = spd_cond(Ms, tol=1e-8)
+    est = spd_cond(Ms)
     npt.assert_allclose(est.lambda_max, wm[-1], rtol=1e-6)
     npt.assert_allclose(est.lambda_min, wm[0], rtol=1e-6)
 
     As, d = diag_scale(assemble_stiffness(surf))
     wa, va = np.linalg.eigh(As.toarray())
-    eff = effective_cond(As, np.sqrt(d), tol=1e-8)
+    eff = effective_cond(As, np.sqrt(d))
     npt.assert_allclose(eff.lambda_max, wa[-1], rtol=1e-6)
     npt.assert_allclose(eff.lambda_min, _rayleigh_quotient(As, va[:, 1]),
                         rtol=1e-6)

@@ -79,6 +79,8 @@ def test_operational_error_exits_1(tmp_path, capsys):
      "empty surface"),
     (["conditioning", "--h", "0.5", "--zc-list", "10"], "empty surface"),
     (["massbound", "--h-list", "0.5,0.25", "--zc", "10"], "empty surface"),
+    # so far off that |x - center| overflows: inf nodal values, no warning
+    (["extract", "--h", "0.5", "--zc", "1e200"], "nodal values must be finite"),
 ])
 def test_bad_mesh_or_sphere_input_exits_1(argv, bad, tmp_path, capsys):
     # A non-finite h or sphere is named in one plain error line: no cast

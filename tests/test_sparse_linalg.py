@@ -109,7 +109,7 @@ def test_pcg_matches_direct_solver():
     A = random_spd(rng, 120)
     b = rng.standard_normal(120)
     x_ref = spla.spsolve(A.tocsc(), b)
-    for precond in (None, "jacobi", "ilu0"):
+    for precond in ("none", "jacobi", "ilu0"):
         x, stats = pcg(A, b, tol=1e-10, precond=precond)
         assert stats.converged
         npt.assert_allclose(x, x_ref, rtol=1e-6)
@@ -127,30 +127,6 @@ def test_pcg_milu0_matches_direct_solver():
     npt.assert_allclose(x, x_ref, rtol=1e-6)
 
 
-def test_pcg_custom_preconditioner_object():
-    class ExactInverse:
-        def __init__(self, A):
-            self.lu = spla.splu(A.tocsc())
-
-        def apply(self, r):
-            return self.lu.solve(r)
-
-    rng = np.random.default_rng(1)
-    A = random_spd(rng, 50)
-    _, stats = pcg(A, rng.standard_normal(50), precond=ExactInverse(A))
-    assert stats.iterations == 1
-
-
-def test_pcg_warm_start_zero_iterations():
-    rng = np.random.default_rng(2)
-    A = random_spd(rng, 30)
-    x_ref = rng.standard_normal(30)
-    b = A @ x_ref
-    x, stats = pcg(A, b, x0=x_ref)
-    assert stats.iterations == 0 and stats.converged
-    npt.assert_allclose(x, x_ref)
-
-
 def test_pcg_zero_rhs():
     A = sp.identity(4, format="csr")
     x, stats = pcg(A, np.zeros(4))
@@ -161,10 +137,10 @@ def test_pcg_zero_rhs():
 def test_pcg_reports_nonconvergence():
     A = build_reference_matrix(blocks=8, size=8)
     b = np.ones(64)
-    _, stats = pcg(A, b, tol=1e-14, maxiter=3)
+    _, stats = pcg(A, b, tol=1e-300)
     assert not stats.converged
-    assert stats.iterations == 3
-    assert stats.relres > 1e-14
+    assert stats.iterations == 64
+    assert stats.relres > 1e-300
 
 
 def test_pcg_breakdown_on_indefinite():
@@ -182,8 +158,14 @@ def test_pcg_validates_shapes():
 
 
 def test_pcg_unknown_preconditioner():
-    with pytest.raises(ValueError, match="unknown preconditioner"):
-        pcg(sp.identity(2, format="csr"), np.ones(2), precond="cholesky")
+    # Only the four names are accepted: no None, no object with .apply.
+    class Identity:
+        def apply(self, r):
+            return r
+
+    for precond in ("cholesky", None, Identity()):
+        with pytest.raises(ValueError, match="unknown preconditioner"):
+            pcg(sp.identity(2, format="csr"), np.ones(2), precond=precond)
 
 
 def test_pcg_jacobi_zero_diagonal():
@@ -506,27 +488,22 @@ def test_eig_extreme_scaled_mass(sphere_h4):
 def test_eig_extreme_seed_deterministic():
     rng = np.random.default_rng(7)
     A = random_spd(rng, 100, 0.05)
-    assert eig_extreme(A, "max", seed=3) == eig_extreme(A, "max", seed=3)
-    npt.assert_allclose(
-        eig_extreme(A, "max", seed=3), eig_extreme(A, "max", seed=4), rtol=1e-6
-    )
+    assert eig_extreme(A, "max") == eig_extreme(A, "max")
 
 
 def test_eig_extreme_rejects_bad_which():
     I3 = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         eig_extreme(I3, "median")
-    for maxiter in (0, -1):
-        with pytest.raises(ValueError, match=f"maxiter .* got {maxiter}"):
-            eig_extreme(I3, "max", maxiter=maxiter)
 
 
-def test_eig_extreme_nonconvergence_carries_best():
+def test_eig_extreme_nonconvergence_carries_best(monkeypatch):
     rng = np.random.default_rng(8)
     A = random_spd(rng, 400, 0.02, shift=1.0)
     w = np.linalg.eigvalsh(A.toarray())
+    monkeypatch.setattr(sparse_linalg, "_EIG_MAXITER", 5)
     with pytest.raises(EigNonConvergence) as exc:
-        eig_extreme(A, "max", tol=1e-14, maxiter=5)
+        eig_extreme(A, "max")
     assert exc.value.best is not None
     assert abs(exc.value.best - w[-1]) < 0.5 * w[-1]
 
@@ -543,11 +520,11 @@ def test_eig_extreme_max_past_loss_of_orthogonality(monkeypatch, lams):
     vectors = []
     lanczos = sparse_linalg._lanczos
 
-    def recording(apply_op, n, rng, tol, maxiter, **kw):
+    def recording(apply_op, n, **kw):
         def op(v):
             vectors.append(v.copy())
             return apply_op(v)
-        return lanczos(op, n, rng, tol, maxiter, **kw)
+        return lanczos(op, n, **kw)
 
     monkeypatch.setattr(sparse_linalg, "_lanczos", recording)
     npt.assert_allclose(eig_extreme(A, "max"), lams.max(), rtol=1e-9)
@@ -567,7 +544,6 @@ def test_effective_cond_small_diagonal():
     npt.assert_allclose(est.lambda_max, 3.0, rtol=1e-6)
     npt.assert_allclose(est.lambda_min, 1.0, rtol=1e-6)
     npt.assert_allclose(est.cond, 3.0, rtol=1e-6)
-    assert est.deflated
 
 
 def test_effective_cond_deflated_bottom_cluster():
@@ -644,7 +620,6 @@ def test_spd_cond_diagonal():
     A = sp.diags([np.array([2.0, 5.0, 8.0])], [0], format="csr")
     est = spd_cond(A)
     npt.assert_allclose(est.cond, 4.0, rtol=1e-6)
-    assert not est.deflated
 
 
 def test_spd_cond_singular_reports_huge():
@@ -678,13 +653,8 @@ def test_spd_cond_nonconvergence_carries_best(monkeypatch):
     rng = np.random.default_rng(8)
     A = random_spd(rng, 400, 0.02, shift=1.0)
     w = np.linalg.eigvalsh(A.toarray())
-    lanczos = sparse_linalg._lanczos
-
-    def capped(apply_op, n, rng, tol, maxiter, **kw):
-        return lanczos(apply_op, n, rng, tol, 5, **kw)
-
-    monkeypatch.setattr(sparse_linalg, "_lanczos", capped)
+    monkeypatch.setattr(sparse_linalg, "_EIG_MAXITER", 5)
     with pytest.raises(EigNonConvergence) as exc:
-        spd_cond(A, tol=1e-14)
+        spd_cond(A)
     assert exc.value.best is not None
     assert abs(exc.value.best - w[-1]) < 0.5 * w[-1]

@@ -206,7 +206,6 @@ def test_lattice_tets_match_per_cube_loop():
     npt.assert_array_equal(mesh.tets, ref)
     npt.assert_array_equal(mesh.tet_nodes(ids), mesh.tets[ids])
     assert mesh.is_kuhn_lattice
-    npt.assert_array_equal(mesh.cube_tets([7]), ref[42:48])
 
 
 def test_lattice_mesh_validation():
@@ -219,7 +218,5 @@ def test_lattice_mesh_validation():
         TetMesh(None, None, h=1.0, box=box)
     with pytest.raises(ValueError, match="stores no nodes"):
         TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1))
-    with pytest.raises(ValueError):
-        regular_tet_mesh().cube_tets([0])
     with pytest.raises(ValueError, match="out of range"):
         TetMesh(nodes[:4], np.array([[0, 1, 2, 4]]), h=1.0, box=box)
