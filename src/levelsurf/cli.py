@@ -89,6 +89,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # A number or number list that starts with "-", such as -1e-3 or
+        # -2,-2,-2,2,2,2, is a value; argparse itself takes only plain
+        # decimals such as -0.001 for one, and anything else for an option.
+        try:
+            _parse_floats(arg_string, "value")
+        except argparse.ArgumentTypeError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tet_grid import TetMesh
+from .tet_grid import TetMesh, norm3
 
 __all__ = [
     "SphereLevelSet",
@@ -60,7 +60,7 @@ class SphereLevelSet:
         # A distance past the float range becomes inf, which the caller's
         # finiteness check rejects, without an overflow warning first.
         with np.errstate(over="ignore"):
-            return np.linalg.norm(p - self.center, axis=-1) - self.radius
+            return norm3(p - self.center) - self.radius
 
     # phi already is the signed distance
     signed_distance = evaluate
@@ -68,7 +68,7 @@ class SphereLevelSet:
     def normal(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         d = p - self.center
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        n = norm3(d)[..., None]
         if np.any(n <= 1e-300):
             raise ValueError("normal undefined at the sphere center")
         return d / n

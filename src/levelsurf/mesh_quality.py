@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .surface_extract import SurfaceMesh
-from .tet_grid import corner_cross_dot
+from .tet_grid import corner_cross_dot, norm3
 
 __all__ = [
     "triangle_angles",
@@ -74,7 +74,7 @@ def _assumption_maxima(surface: SurfaceMesh, spec) -> tuple[float, float]:
     d_v = np.abs(spec.signed_distance(surface.vertices))
     d_b = np.abs(spec.signed_distance(bary))
     max_dist = float(max(d_v.max(initial=0.0), d_b.max(initial=0.0)))
-    dev = np.linalg.norm(spec.normal(bary) - surface.normals(), axis=1)
+    dev = norm3(spec.normal(bary) - surface.normals())
     return max_dist, float(dev.max(initial=0.0))
 
 

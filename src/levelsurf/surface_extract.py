@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .level_set import NodalField
-from .tet_grid import TetMesh, corner_cross_dot
+from .tet_grid import TetMesh, corner_cross_dot, norm3
 
 __all__ = [
     "SurfaceMesh",
@@ -98,7 +98,7 @@ class SurfaceMesh:
         """
         p = self.vertices[self.triangles[rows]]
         n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        two_area = np.linalg.norm(n, axis=1)
+        two_area = norm3(n)
         if nondegenerate and np.any(two_area <= 0.0):
             raise ValueError("degenerate (zero-area) surface triangle")
         return p, n, two_area
@@ -308,4 +308,4 @@ def plane_residuals(mesh: TetMesh, field: NodalField,
     g = np.linalg.solve(p[:, 1:] - p[:, :1], (f[:, 1:] - f[:, :1])[..., None])[..., 0]
     x = surface.vertices[surface.triangles] - p[:, :1]
     phi = f[:, :1] + np.einsum("ik,ijk->ij", g, x)
-    return np.abs(phi) / np.linalg.norm(g, axis=1)[:, None]
+    return np.abs(phi) / norm3(g)[:, None]

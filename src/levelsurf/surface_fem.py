@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .level_set import SurfaceFunction
 from .sparse_linalg import CondEstimate, eig_extreme
 from .surface_extract import SurfaceMesh
-from .tet_grid import corner_cross_dot
+from .tet_grid import corner_cross_dot, norm3
 
 __all__ = [
     "TRI_QP_BARY",
@@ -139,7 +139,7 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
 
         # orthonormal in-plane frame (b1, b2)
         b1 = p[:, 1] - p[:, 0]
-        b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+        b1 = b1 / norm3(b1)[:, None]
         b2 = np.cross(nh, b1)
         gv1 = np.einsum("ij,ij->i", grad, b1)
         gv2 = np.einsum("ij,ij->i", grad, b2)
@@ -147,7 +147,7 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
         edges = np.stack(
             [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
         )
-        diam = np.linalg.norm(edges, axis=2).max(axis=1)
+        diam = norm3(edges).max(axis=1)
         step = (_FD_STEP_REL * diam)[:, None, None]
 
         qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
@@ -191,11 +191,12 @@ def assemble_stiffness(surface: SurfaceMesh) -> sp.csr_matrix:
     summed over the one or two triangles containing the edge; diagonals
     make every row sum vanish, so constants are in the kernel exactly.
     """
-    p, _, _ = surface.tri_geometry(nondegenerate=True)
-    cross, dot = corner_cross_dot(p)
+    # The (F, 3, 3) corners are not kept: held through _assemble, they
+    # would add to its peak.
+    cross, dot = corner_cross_dot(surface.tri_geometry(nondegenerate=True)[0])
     cots = dot / cross
 
-    elem = np.zeros((len(p), 3, 3))
+    elem = np.zeros((len(cots), 3, 3))
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         elem[:, i, j] = elem[:, j, i] = -0.5 * cots[:, k]

@@ -8,8 +8,10 @@ stability statements: the enclosing/inscribed ball-diameter ratio and the
 minimum angle over face angles and edge-to-opposite-face angles.  Every
 inner angle of a polygon in the package (tet faces, surface triangles,
 cut quads, the cotangents of the stiffness matrix) comes from one kernel,
-:func:`corner_cross_dot`, which lives here because every other module can
-import this one.
+:func:`corner_cross_dot`, and every Euclidean length of a 3-vector (edge
+lengths, triangle areas, unit normals, distances to the sphere center)
+from another, :func:`norm3`.  Both live here because every other module
+can import this one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "build_uniform_mesh",
     "tet_volumes",
     "corner_cross_dot",
+    "norm3",
     "shape_regularity",
     "min_angle_theta",
     "tet_face_angles",
@@ -306,12 +309,12 @@ def _enclosing_ball_diameters(p: np.ndarray, a: np.ndarray, u: np.ndarray,
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for i, j in pairs:
         c = 0.5 * (p[:, i] + p[:, j])
-        r = 0.5 * np.linalg.norm(p[:, i] - p[:, j], axis=1)
+        r = 0.5 * norm3(p[:, i] - p[:, j])
         ok = np.ones(M, dtype=bool)
         for o in range(4):
             if o in (i, j):
                 continue
-            ok &= np.linalg.norm(p[:, o] - c, axis=1) <= r * tol + 1e-300
+            ok &= norm3(p[:, o] - c) <= r * tol + 1e-300
         best = np.where(ok, np.minimum(best, r), best)
 
     # circumcircle of face f; the vertex it must also contain is vertex f
@@ -323,8 +326,8 @@ def _enclosing_ball_diameters(p: np.ndarray, a: np.ndarray, u: np.ndarray,
     alpha = np.where(safe, (0.5 * (uu * vv - vv * uv)) / np.where(safe, det, 1.0), 0.0)
     beta = np.where(safe, (0.5 * (uu * vv - uu * uv)) / np.where(safe, det, 1.0), 0.0)
     c = a + alpha[..., None] * u + beta[..., None] * v
-    r = np.linalg.norm(a - c, axis=2)
-    ok = safe & (np.linalg.norm(p - c, axis=2) <= r * tol + 1e-300)
+    r = norm3(a - c)
+    ok = safe & (norm3(p - c) <= r * tol + 1e-300)
     best = np.minimum(best, np.where(ok, r, np.inf).min(axis=1))
 
     # circumsphere: 2 (p_i - p_0) . c = |p_i|^2 - |p_0|^2
@@ -333,7 +336,7 @@ def _enclosing_ball_diameters(p: np.ndarray, a: np.ndarray, u: np.ndarray,
         "ik,ik->i", p[:, 0], p[:, 0]
     )[:, None]
     c = np.linalg.solve(A, rhs[..., None])[..., 0]
-    r = np.linalg.norm(p[:, 0] - c, axis=1)
+    r = norm3(p[:, 0] - c)
     best = np.minimum(best, r)
 
     return 2.0 * best
@@ -352,7 +355,7 @@ def shape_regularity(mesh: TetMesh, per_tet: bool = False):
     _check_nondegenerate(vol, scale=max(mesh.h, 1e-30))
 
     a, u, v, n = _face_frames(p)
-    area = 0.5 * np.linalg.norm(n, axis=2)
+    area = 0.5 * norm3(n)
     area_sum = area[:, 3] + area[:, 2] + area[:, 1] + area[:, 0]
     inscribed = 2.0 * 3.0 * vol / area_sum
 
@@ -373,9 +376,21 @@ def corner_cross_dot(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(k):
         u = p[..., (i + 1) % k, :] - p[..., i, :]
         v = p[..., (i - 1) % k, :] - p[..., i, :]
-        cross[..., i] = np.linalg.norm(np.cross(u, v), axis=-1)
+        cross[..., i] = norm3(np.cross(u, v))
         dot[..., i] = np.einsum("...j,...j->...", u, v)
     return cross, dot
+
+
+def norm3(x: np.ndarray) -> np.ndarray:
+    """Euclidean length of 3-vectors along the last axis, (..., 3) -> (...).
+
+    Bitwise equal to ``np.linalg.norm(x, axis=-1)``, which also squares and
+    sums the three components in order before one square root, but without
+    its generic reduction, which costs about three times as much here.  As
+    there, a length past the float range overflows to inf.
+    """
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
 def tet_face_angles(mesh: TetMesh) -> np.ndarray:
@@ -393,13 +408,13 @@ def tet_edge_face_angles(mesh: TetMesh) -> np.ndarray:
     """
     p = mesh.tet_coords()
     n = _face_frames(p)[3]
-    nn = np.linalg.norm(n, axis=2)
+    nn = norm3(n)
     if np.any(nn <= 1e-300):
         raise ValueError("degenerate tetrahedron face")
     n = n / nn[..., None]
     # d[:, v, i]: unit edge from vertex v to vertex i of its opposite face
     d = p[:, _OPP_FACES] - p[:, :, None]
-    d = d / np.linalg.norm(d, axis=3)[..., None]
+    d = d / norm3(d)[..., None]
     s = np.abs(np.einsum("...ij,...j->...i", d, n))
     return np.arcsin(np.clip(s, -1.0, 1.0)).reshape(len(p), 12)
 

@@ -54,6 +54,35 @@ def test_unknown_export_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["extract", "--h", "0.5", "--zc", "-1e-3"], "zc", -0.001),
+    (["extract", "--h", "0.5", "--box", "-2,-2,-2,2,2,2"], "box",
+     {"lo": [-2.0, -2.0, -2.0], "hi": [2.0, 2.0, 2.0]}),
+    (["conditioning", "--h", "0.5", "--zc-list", "-0.001,0"], "zc_list",
+     [-0.001, 0.0]),
+])
+def test_negative_number_values(argv, key, value, tmp_path):
+    # Values starting with "-" that argparse alone would take for options.
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())[key] == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--h", "0.5", "--zc", "--bogus"],
+     "argument --zc: expected one argument"),
+    (["extract", "--h", "0.5", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+])
+def test_option_for_value_or_unknown_option_exits_1(argv, message, tmp_path,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_operational_error_exits_1(tmp_path, capsys):
     # 4 / 0.3 is not an integer, so mesh construction fails.
     code = main(["extract", "--h", "0.3", "--out", str(tmp_path / "o")])

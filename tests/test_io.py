@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from levelsurf import io as lsio
+from levelsurf.cli import main
 from levelsurf.io import (
     fmt,
     write_csv,
@@ -92,3 +95,89 @@ def test_matrix_market_roundtrip(tmp_path):
     B = scipy.io.mmread(str(path))
     assert B.shape == A.shape
     npt.assert_allclose(B.toarray(), A.toarray(), rtol=1e-14, atol=1e-300)
+
+
+def rowwise_obj(vertices, triangles):
+    """OBJ text formatted one row at a time, the writers' reference."""
+    text = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices.tolist())
+    text += "".join(f"f {a + 1} {b + 1} {c + 1}\n"
+                    for a, b, c in triangles.tolist())
+    return text or "\n"
+
+
+def rowwise_vtk(vertices, triangles):
+    """Legacy VTK text formatted one row at a time, the writers' reference."""
+    nt = len(triangles)
+    return (
+        "# vtk DataFile Version 3.0\nlevelsurf surface\nASCII\n"
+        f"DATASET POLYDATA\nPOINTS {len(vertices)} double\n"
+        + "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in vertices.tolist())
+        + f"POLYGONS {nt} {4 * nt}\n"
+        + "".join(f"3 {a} {b} {c}\n" for a, b, c in triangles.tolist())
+    )
+
+
+EDGE_VERTICES = np.array([[-0.0, 1e-05, 1e+16], [5e-324, np.nan, -np.inf],
+                          [0.1, -1.0 / 3.0, 1e300]])
+
+
+@pytest.mark.parametrize("vertices, triangles, obj, vtk", [
+    (np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), "\n",
+     "# vtk DataFile Version 3.0\nlevelsurf surface\nASCII\n"
+     "DATASET POLYDATA\nPOINTS 0 double\nPOLYGONS 0 0\n"),
+    (EDGE_VERTICES, np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int32),
+     "v -0.0 1e-05 1e+16\nv 5e-324 nan -inf\n"
+     "v 0.1 -0.3333333333333333 1e+300\nf 1 2 3\nf 3 2 1\n",
+     "# vtk DataFile Version 3.0\nlevelsurf surface\nASCII\n"
+     "DATASET POLYDATA\nPOINTS 3 double\n-0.0 1e-05 1e+16\n"
+     "5e-324 nan -inf\n0.1 -0.3333333333333333 1e+300\n"
+     "POLYGONS 2 8\n3 0 1 2\n3 2 1 0\n"),
+])
+def test_mesh_writer_edge_cases(vertices, triangles, obj, vtk, tmp_path):
+    write_obj(str(tmp_path / "m.obj"), vertices, triangles)
+    write_vtk_surface(str(tmp_path / "m.vtk"), vertices, triangles)
+    assert (tmp_path / "m.obj").read_text() == obj
+    assert (tmp_path / "m.vtk").read_text() == vtk
+    assert obj == rowwise_obj(vertices, triangles)
+    assert vtk == rowwise_vtk(vertices, triangles)
+
+
+def test_mesh_writers_span_blocks(tmp_path, monkeypatch):
+    # more rows than one formatted block, ending in a partial block
+    monkeypatch.setattr(lsio, "_BLOCK_ROWS", 4)
+    n = 11
+    rng = np.random.default_rng(4)
+    vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    triangles = rng.integers(0, n, (n + 1, 3))
+    write_obj(str(tmp_path / "m.obj"), vertices, triangles)
+    write_vtk_surface(str(tmp_path / "m.vtk"), vertices, triangles)
+    assert (tmp_path / "m.obj").read_text() == rowwise_obj(vertices, triangles)
+    assert (tmp_path / "m.vtk").read_text() == rowwise_vtk(vertices, triangles)
+
+
+# SHA-256 of the exports of `surf extract --h 0.125 --export obj,vtk,mm`.
+# The .mtx pins also hold scipy's MatrixMarket writer to its current bytes.
+EXPORT_SHA256 = {
+    0.03: {
+        "surface.obj": "5083b8afb9293ae28a00e10bce92985504e3b531609974750e3e5d927816d0da",
+        "surface.vtk": "dd4b367af845c273b374c4d6ca8bcbc8e9a5ebf66bf81c1f34a94bd6c94d5062",
+        "mass_scaled.mtx": "9ece5ad9d4a092723d8e50cded96c759d608187f3aa10a9a87a7917e2c2a145f",
+        "stiffness_scaled.mtx": "ad90818fa6c1540fd9227097a35243cc135d04e83b923118b840e3d89087d9fb",
+    },
+    0.0: {
+        "surface.obj": "72397635a77266b37e9d3387ad8280df5c7a3043cd8087119c8efbf2bb84d47e",
+        "surface.vtk": "5f296696fce1b9d2601d4faa2436b028bd2c57116a8bfe0eed7ce3fcc6652e1f",
+        "mass_scaled.mtx": "bee7157b5c2dc4242f243440005edde590c87c9a89ae921f470196109258e132",
+        "stiffness_scaled.mtx": "dafa2fc3283af15f1eb308bfcdf1aca0b51b9cba1bfd0055b5106c41d0784817",
+    },
+}
+
+
+@pytest.mark.parametrize("zc", sorted(EXPORT_SHA256))
+def test_extract_exports_pinned(zc, tmp_path):
+    out = tmp_path / "o"
+    assert main(["extract", "--h", "0.125", "--zc", repr(zc),
+                 "--export", "obj,vtk,mm", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in EXPORT_SHA256[zc]}
+    assert got == EXPORT_SHA256[zc]

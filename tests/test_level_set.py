@@ -49,6 +49,14 @@ def test_sphere_shifted_center():
                         atol=1e-15)
 
 
+def test_sphere_distance_past_float_range_is_inf():
+    # pyproject turns RuntimeWarning into an error, so an overflow warning
+    # fails this test
+    spec = SphereLevelSet()
+    assert spec.evaluate(np.array([[0.0, 0.0, 1e200]])).tolist() == [np.inf]
+    assert spec.evaluate(np.array([1e200, 1e200, 0.0])) == np.inf
+
+
 def test_sphere_validation():
     with pytest.raises(ValueError):
         SphereLevelSet(radius=-1.0)

@@ -1,12 +1,14 @@
-"""Peak memory of nodal sampling, error quadrature and eigen-estimates.
+"""Peak memory of nodal sampling, error quadrature, assembly and eigen-estimates.
 
 tracemalloc counts numpy's array allocations, so the traced peak of a call
 is the most numpy memory alive at once inside it.  The bounds hold for a
 node-free lattice sampled in bounded chunks, for quadrature in fixed-size
-triangle blocks and for a Lanczos run that keeps two vectors; sampling an
-(N, 3) node array at once peaks near 11x the nodal field, whole-surface
-quadrature at h = 1/32 near 115 MiB, and a Lanczos run that keeps its
-whole Krylov basis near 600 vectors at h = 1/16.
+triangle blocks, for a stiffness assembly that drops the triangle corners
+before the sparse build, and for a Lanczos run that keeps two vectors;
+sampling an (N, 3) node array at once peaks near 11x the nodal field,
+whole-surface quadrature at h = 1/32 near 115 MiB, a stiffness assembly
+that holds the corners 1.7 element arrays above the mass assembly, and a
+Lanczos run that keeps its whole Krylov basis near 600 vectors at h = 1/16.
 """
 import tracemalloc
 
@@ -55,6 +57,16 @@ def test_error_quadrature_peak_is_bounded(sphere_h32, error):
     coeffs = interpolate(u, spec, surf)
     peak = traced_peak(lambda: error(u, spec, surf, coeffs))
     assert peak < 16 * MIB, f"{peak / MIB:.1f} MiB"
+
+
+def test_stiffness_assembly_peak_is_near_mass_assembly(sphere_h32):
+    # Both share _assemble's sparse build; the stiffness matrix may add
+    # less than one (F, 3, 3) element array on top of it.
+    _, surf = sphere_h32
+    elem_bytes = 72 * surf.n_triangles
+    extra = (traced_peak(lambda: assemble_stiffness(surf))
+             - traced_peak(lambda: assemble_mass(surf)))
+    assert extra < elem_bytes, f"{extra / elem_bytes:.2f} element arrays"
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from levelsurf.tet_grid import (
     TetMesh,
     build_uniform_mesh,
     min_angle_theta,
+    norm3,
     shape_regularity,
     tet_edge_face_angles,
     tet_face_angles,
@@ -220,3 +221,25 @@ def test_lattice_mesh_validation():
         TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1))
     with pytest.raises(ValueError, match="out of range"):
         TetMesh(nodes[:4], np.array([[0, 1, 2, 4]]), h=1.0, box=box)
+
+
+@pytest.mark.parametrize("shape", [(4000, 3), (1000, 4, 3)])
+def test_norm3_bitwise_equals_linalg_norm(shape):
+    rng = np.random.default_rng(3)
+    # one magnitude from 1e-300 to 1e300 per vector, so the three squares
+    # are comparable and the order of their sum shows in the last bit;
+    # every other vector also spreads its components over 6 decades
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+        -297, 297, shape[:-1] + (1,))
+    x[::2] *= 10.0 ** rng.uniform(-3, 3, x[::2].shape)
+    flat = x.reshape(-1, 3)
+    flat[::7, 0] = np.inf
+    flat[::11, 1] = -np.inf
+    flat[::13, 2] = np.nan
+    flat[::5, 1] = -0.0
+    flat[::17] = -0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, want = norm3(x), np.linalg.norm(x, axis=-1)
+    assert got.shape == want.shape == shape[:-1]
+    # NaN payloads included: the bit patterns must match exactly
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
