@@ -8,6 +8,12 @@ conditioning  angle/conditioning table over a list of sphere shifts z_c
 refmatrix     PCG iteration counts on the block-tridiagonal reference matrix
 massbound     mass-matrix conditioning sweep (scaled vs unscaled)
 
+The setup is fixed: the Kuhn grid of ``BOX`` = [-2,2]^3, the unit sphere
+shifted by z_c (``SphereLevelSet`` with its default radius 1), the
+surface function ``SURFACE_FUNCTION`` = product-arctan and the PCG
+tolerance ``PCG_TOL`` = 1e-8.  Only mesh sizes, z_c, the seed and the
+reference-matrix size are set on the command line.
+
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
 whose effective condition number did not converge, 1 operational error
 (including a solver failure outside that row).
@@ -26,8 +32,6 @@ import numpy as np
 from . import io as lsio
 from .level_set import (
     SphereLevelSet,
-    constant_function,
-    coordinate_function,
     interpolate_nodal,
     product_arctan_function,
     snap_small_values,
@@ -58,7 +62,10 @@ L2_ORDER_BAND = (1.8, 2.2)
 H1_ORDER_BAND = (0.8, 1.2)
 N_RATIO_BAND = (3.5, 4.5)
 PCG_ITER_BAND = (36, 49)
-EXACT_FIT = 1e-10                                  # error below this: exact fit
+
+BOX = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))   # bulk domain
+SURFACE_FUNCTION = product_arctan_function()          # convergence's u
+PCG_TOL = 1e-8                                        # PCG relative residual
 
 QUALITY_COLUMNS = ["z_c", "phi_max_deg", "phi_min_deg", "count_below_1deg",
                    "n_vertices", "n_triangles", "max_dist", "max_normal_dev"]
@@ -72,13 +79,6 @@ REFMATRIX_COLUMNS = ["precond", "iterations", "relres", "converged"]
 ZC_TABLE = [0.03, 0.02, 0.008, 0.002, 0.0005, 0.00025, 0.00005, 0.0]
 H_TABLE = [0.5, 0.25, 0.125, 0.0625]
 
-_FUNCTIONS = {
-    "product-arctan": product_arctan_function,
-    "coordinate": coordinate_function,
-    "constant": constant_function,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 1, not 2.
 
@@ -91,8 +91,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # A number or number list that starts with "-", such as -1e-3 or
-        # -2,-2,-2,2,2,2, is a value; argparse itself takes only plain
-        # decimals such as -0.001 for one, and anything else for an option.
+        # -1e-3,0, is a value; argparse itself takes only plain decimals
+        # such as -0.001 for one, and anything else for an option.
         try:
             _parse_floats(arg_string, "value")
         except argparse.ArgumentTypeError:
@@ -108,27 +108,6 @@ def _parse_floats(text: str, what: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"empty {what} list")
     return values
-
-
-def _parse_tol(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and positive, got {text!r}"
-        )
-    return value
-
-
-def _parse_box(text: str) -> BoxDomain:
-    values = _parse_floats(text, "box")
-    if len(values) != 6:
-        raise argparse.ArgumentTypeError(
-            "box needs 6 numbers: xmin,ymin,zmin,xmax,ymax,zmax"
-        )
-    return BoxDomain(tuple(values[:3]), tuple(values[3:]))
 
 
 def _parse_exports(text: str) -> list[str]:
@@ -156,17 +135,6 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--zc-list", type=lambda s: _parse_floats(s, "z_c"),
                        default=list(ZC_TABLE), metavar="Z1,Z2,...",
                        help="sphere-center z-shifts")
-    if "radius" in names:
-        p.add_argument("--radius", type=float, default=1.0,
-                       help="sphere radius")
-    if "box" in names:
-        p.add_argument("--box", type=_parse_box,
-                       default=BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)),
-                       metavar="XMIN,YMIN,ZMIN,XMAX,YMAX,ZMAX",
-                       help="bulk domain (default [-2,2]^3)")
-    if "tol" in names:
-        p.add_argument("--tol", type=_parse_tol, default=1e-8,
-                       help="PCG relative-residual tolerance")
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for manufactured right-hand sides")
@@ -186,55 +154,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract the zero level set of a "
                        "sphere field and report surface quality")
-    _add_flags(p, "h", "zc", "radius", "box", "out", "export")
+    _add_flags(p, "h", "zc", "out", "export")
 
     p = sub.add_parser("convergence", help="interpolation-error sweep "
                        "over mesh sizes")
-    _add_flags(p, "h-list", "zc", "radius", "box", "out")
-    p.add_argument("--function", choices=sorted(_FUNCTIONS),
-                   default="product-arctan",
-                   help="surface function to interpolate")
+    _add_flags(p, "h-list", "zc", "out")
 
     p = sub.add_parser("conditioning", help="angle and conditioning table "
                        "over sphere shifts at fixed h")
-    _add_flags(p, "h", "zc-list", "radius", "box", "tol", "seed", "out",
-               "export")
+    _add_flags(p, "h", "zc-list", "seed", "out", "export")
     p.set_defaults(h=0.0625)
 
     p = sub.add_parser("refmatrix", help="PCG iteration counts on the "
                        "block-tridiagonal reference matrix")
-    _add_flags(p, "tol", "seed", "out", "export")
+    _add_flags(p, "seed", "out", "export")
     p.add_argument("--blocks", type=int, default=120,
                    help="number of block rows")
     p.add_argument("--block-size", type=int, default=120,
                    help="dimension of each block")
 
     p = sub.add_parser("massbound", help="mass-matrix conditioning sweep")
-    _add_flags(p, "h-list", "zc", "radius", "box", "out")
+    _add_flags(p, "h-list", "zc", "out")
 
     return parser
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if isinstance(value, BoxDomain):
-            value = {"lo": list(value.lo), "hi": list(value.hi)}
-        config[key] = value
-    return config
-
-
-def _prepare_out(args: argparse.Namespace) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    lsio.write_json(os.path.join(out, "config.json"), _config_dict(args))
-    return out
-
-
-def _sphere_surface(box: BoxDomain, h: float, zc: float, radius: float):
+def _sphere_surface(h: float, zc: float):
     """Mesh the box, interpolate the sphere level set, extract the surface."""
-    mesh = build_uniform_mesh(box, h)
-    spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
+    mesh = build_uniform_mesh(BOX, h)
+    spec = SphereLevelSet(center=(0.0, 0.0, zc))
     field = snap_small_values(interpolate_nodal(spec, mesh))
     surface = extract_surface(mesh, field)
     if surface.n_triangles == 0:
@@ -249,8 +197,8 @@ def _quality_row(zc: float, report) -> list:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
-    spec, surface = _sphere_surface(args.box, args.h, args.zc, args.radius)
+    out = args.out
+    spec, surface = _sphere_surface(args.h, args.zc)
     report = quality_report(surface, spec)
     lsio.write_json(os.path.join(out, "quality.json"), report.as_dict())
     lsio.write_csv(os.path.join(out, "quality.csv"), QUALITY_COLUMNS,
@@ -274,38 +222,27 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def _order(err_coarse: float, err_fine: float,
            h_coarse: float, h_fine: float) -> float:
-    if err_coarse < EXACT_FIT and err_fine < EXACT_FIT:
-        return float("inf")
-    if err_fine == 0.0:
-        return float("inf")
     return float(np.log(err_coarse / err_fine) / np.log(h_coarse / h_fine))
 
 
 def _in_band(value: float, band: tuple) -> bool:
-    if value == float("inf"):
-        return True                      # exact fit beats any band
     return band[0] <= value <= band[1]
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+    out = args.out
     hs = sorted(args.h_list, reverse=True)
     if len(hs) < 3:
-        print("error: convergence needs at least 3 mesh sizes",
-              file=sys.stderr)
-        return 1
+        raise ValueError("convergence needs at least 3 mesh sizes")
     if len(set(hs)) < len(hs):
-        print("error: convergence needs distinct mesh sizes",
-              file=sys.stderr)
-        return 1
-    u = _FUNCTIONS[args.function]()
+        raise ValueError("convergence needs distinct mesh sizes")
     rows = []
     results = []
     for h in hs:
-        spec, surface = _sphere_surface(args.box, h, args.zc, args.radius)
-        coeffs = interpolate(u, spec, surface)
-        e2 = l2_error(u, spec, surface, coeffs)
-        e1 = h1_semi_error(u, spec, surface, coeffs)
+        spec, surface = _sphere_surface(h, args.zc)
+        coeffs = interpolate(SURFACE_FUNCTION, spec, surface)
+        e2 = l2_error(SURFACE_FUNCTION, spec, surface, coeffs)
+        e1 = h1_semi_error(SURFACE_FUNCTION, spec, surface, coeffs)
         results.append((h, surface.n_vertices, e2, e1))
     for i, (h, n, e2, e1) in enumerate(results):
         if i == 0:
@@ -328,12 +265,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_conditioning(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+    out = args.out
     rng = np.random.default_rng(args.seed)
     rows = []
     unconverged = []
     for zc in args.zc_list:
-        spec, surface = _sphere_surface(args.box, args.h, zc, args.radius)
+        spec, surface = _sphere_surface(args.h, zc)
         report = quality_report(surface, spec)
         cond_ms = scaled_mass_cond(assemble_mass(surface)).cond
         A = assemble_stiffness(surface)
@@ -351,12 +288,12 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
         # row-compensated variant can turn singular row sums into
         # non-positive pivots.  Jacobi is the fallback of last resort.
         try:
-            _, stats = pcg(As, As @ v, tol=args.tol, precond="ilu0")
+            _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="ilu0")
         except (ZeroPivotError, np.linalg.LinAlgError) as exc:
             print(f"ILU(0)-PCG failed at z_c = {lsio.fmt(zc)} "
                   f"({type(exc).__name__}: {exc}); "
                   f"pcg_iters is from Jacobi-PCG", file=sys.stderr)
-            _, stats = pcg(As, As @ v, tol=args.tol, precond="jacobi")
+            _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="jacobi")
         rows.append(_quality_row(zc, report)
                     + [As.shape[0], cond_ms, cond_as, stats.iterations])
         if "mm" in args.export:
@@ -373,7 +310,7 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
 
 
 def cmd_refmatrix(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+    out = args.out
     A = build_reference_matrix(args.blocks, args.block_size)
     rng = np.random.default_rng(args.seed)
     v = rng.standard_normal(A.shape[0])
@@ -382,7 +319,7 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
     rows = []
     counts = {}
     for precond in ["none", "jacobi", "ilu0", "milu0"]:
-        _, stats = pcg(A, b, tol=args.tol, precond=precond)
+        _, stats = pcg(A, b, tol=PCG_TOL, precond=precond)
         counts[precond] = stats.iterations
         rows.append([precond, stats.iterations, stats.relres,
                      stats.converged])
@@ -409,11 +346,11 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
 
 
 def cmd_massbound(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+    out = args.out
     rows = []
     all_within = True
     for h in sorted(args.h_list, reverse=True):
-        _, surface = _sphere_surface(args.box, h, args.zc, args.radius)
+        _, surface = _sphere_surface(h, args.zc)
         M = assemble_mass(surface)
         cond_m = spd_cond(M).cond
         cond_ms = scaled_mass_cond(M).cond
@@ -438,9 +375,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
+        lsio.write_json(os.path.join(args.out, "config.json"), vars(args))
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError, EigNonConvergence,
             ZeroPivotError) as exc:

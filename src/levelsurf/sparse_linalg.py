@@ -39,7 +39,6 @@ __all__ = [
     "EigNonConvergence",
     "pcg",
     "ilu0_factor",
-    "ILU0Preconditioner",
     "eig_extreme",
     "effective_cond",
     "spd_cond",
@@ -89,19 +88,6 @@ def _as_csr(A) -> sp.csr_matrix:
 # preconditioned conjugate gradient
 
 
-class JacobiPreconditioner:
-    def __init__(self, A: sp.spmatrix):
-        d = A.diagonal()
-        if np.any(d == 0.0):
-            raise ValueError(
-                f"Jacobi preconditioner: zero diagonal at row {int(np.argmin(d != 0))}"
-            )
-        self.inv_diag = 1.0 / d
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.inv_diag * r
-
-
 def _triangular_solver(T: sp.csr_matrix):
     """SuperLU solver of a triangular matrix, factored once.
 
@@ -115,25 +101,23 @@ def _triangular_solver(T: sp.csr_matrix):
                      relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 
-class ILU0Preconditioner:
-    def __init__(self, A: sp.spmatrix, modified: bool = False):
-        self.L, self.U = ilu0_factor(A, modified=modified)
-        self._solve_L = _triangular_solver(self.L).solve
-        self._solve_U = _triangular_solver(self.U).solve
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self._solve_U(self._solve_L(r))
-
-
-def _make_preconditioner(A: sp.csr_matrix, precond: str):
+def _preconditioner(A: sp.csr_matrix, precond: str):
+    """The map r -> z = M^-1 r of the named preconditioner of A."""
     if precond == "none":
-        return None
+        return lambda r: r
     if precond == "jacobi":
-        return JacobiPreconditioner(A)
-    if precond == "ilu0":
-        return ILU0Preconditioner(A)
-    if precond == "milu0":
-        return ILU0Preconditioner(A, modified=True)
+        d = A.diagonal()
+        if np.any(d == 0.0):
+            raise ValueError(
+                f"Jacobi preconditioner: zero diagonal at row {int(np.argmin(d != 0))}"
+            )
+        inv_diag = 1.0 / d
+        return lambda r: inv_diag * r
+    if precond in ("ilu0", "milu0"):
+        L, U = ilu0_factor(A, modified=precond == "milu0")
+        solve_L = _triangular_solver(L).solve
+        solve_U = _triangular_solver(U).solve
+        return lambda r: solve_U(solve_L(r))
     raise ValueError(f"unknown preconditioner {precond!r}")
 
 
@@ -162,7 +146,7 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    M = _make_preconditioner(A, precond)
+    apply_M = _preconditioner(A, precond)
 
     x = np.zeros(n)
     bnorm = np.linalg.norm(b)
@@ -172,7 +156,7 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     if np.linalg.norm(r) / bnorm <= tol:
         return x, SolveStats(0, float(np.linalg.norm(r) / bnorm), True)
 
-    z = M.apply(r) if M is not None else r
+    z = apply_M(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, n + 1):
@@ -189,7 +173,7 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
             true_rel = float(np.linalg.norm(b - A @ x) / bnorm)
             if true_rel <= tol:
                 return x, SolveStats(it, true_rel, True)
-        z = M.apply(r) if M is not None else r
+        z = apply_M(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             raise np.linalg.LinAlgError(

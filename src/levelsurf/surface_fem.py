@@ -170,10 +170,7 @@ def _assemble(surface: SurfaceMesh, elem: np.ndarray) -> sp.csr_matrix:
     cols = np.tile(tris, (1, 3)).ravel()
     n = surface.n_vertices
     A = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n))
-    out = A.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+    return A.tocsr()
 
 
 def assemble_mass(surface: SurfaceMesh) -> sp.csr_matrix:

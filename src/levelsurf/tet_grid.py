@@ -187,10 +187,11 @@ class TetMesh:
         nx, ny, _ = self.n_cells
         xs, ys, zs = self._axes
         out = np.empty(ids.shape + (3,))
-        out[..., 0] = xs[ids % (nx + 1)]
-        rest = ids // (nx + 1)
-        out[..., 1] = ys[rest % (ny + 1)]
-        out[..., 2] = zs[rest // (ny + 1)]
+        rest, i = np.divmod(ids, nx + 1)
+        k, j = np.divmod(rest, ny + 1)
+        out[..., 0] = xs[i]
+        out[..., 1] = ys[j]
+        out[..., 2] = zs[k]
         return out
 
     @property
