@@ -40,7 +40,6 @@ from .sparse_linalg import (
     eig_extreme,
     ilu0_factor,
     pcg,
-    spd_cond,
 )
 from .surface_extract import (
     SurfaceMesh,
@@ -55,6 +54,7 @@ from .surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
+    mass_cond,
     scaled_mass_cond,
 )
 from .tet_grid import (
@@ -98,6 +98,7 @@ __all__ = [
     "interpolate",
     "interpolate_nodal",
     "l2_error",
+    "mass_cond",
     "min_angle_theta",
     "pcg",
     "plane_residuals",
@@ -106,7 +107,6 @@ __all__ = [
     "scaled_mass_cond",
     "shape_regularity",
     "snap_small_values",
-    "spd_cond",
     "split_quad",
     "tet_volumes",
     "triangle_angles",

@@ -43,7 +43,6 @@ from .sparse_linalg import (
     build_reference_matrix,
     effective_cond,
     pcg,
-    spd_cond,
 )
 from .surface_extract import extract_surface
 from .surface_fem import (
@@ -53,6 +52,7 @@ from .surface_fem import (
     interpolate,
     h1_semi_error,
     l2_error,
+    mass_cond,
     scaled_mass_cond,
 )
 from .tet_grid import BoxDomain, build_uniform_mesh
@@ -352,7 +352,7 @@ def cmd_massbound(args: argparse.Namespace) -> int:
     for h in sorted(args.h_list, reverse=True):
         _, surface = _sphere_surface(h, args.zc)
         M = assemble_mass(surface)
-        cond_m = spd_cond(M).cond
+        cond_m = mass_cond(M).cond
         cond_ms = scaled_mass_cond(M).cond
         within = bool(cond_ms <= MASS_COND_BOUND)
         all_within = all_within and within

@@ -16,11 +16,13 @@ pair; lost orthogonality only repeats converged Ritz values, so an end
 value needs no reorthogonalization.  A run starts from a seed-0 random
 vector and stops on a residual bound below 1e-6 times the Ritz value, on
 Krylov breakdown or at its cap of 600 steps.  The largest eigenvalue is
-taken from a run on the matrix itself, the smallest from a shift-invert
-run through a sparse LU (symmetric minimum-degree order, diagonal
-pivots) of the slightly regularized matrix, so that a singular matrix is
-never factorized.  Effective condition numbers project a supplied kernel
-vector off every Krylov vector and report lambda_max / lambda_2.
+taken from a run on the matrix itself.  Effective condition numbers
+project a supplied kernel vector off every Krylov vector and report
+lambda_max / lambda_2, with lambda_2 from a shift-invert run through a
+sparse LU (symmetric minimum-degree order, diagonal pivots) of the
+slightly regularized matrix, so that a singular matrix is never
+factorized.  Mass matrices need no factor: their condition numbers come
+from :mod:`~levelsurf.surface_fem`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "ilu0_factor",
     "eig_extreme",
     "effective_cond",
-    "spd_cond",
     "build_reference_matrix",
 ]
 
@@ -515,15 +516,6 @@ def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
         )
     lam2 = eig_extreme(A, "min", deflate=kernel)
     return _cond_estimate(lam_max, lam2)
-
-
-def spd_cond(A) -> CondEstimate:
-    """lambda_max / lambda_min for a positive definite matrix, from
-    ``eig_extreme(A, "max")`` and ``eig_extreme(A, "min")``.  For a P1 mass
-    matrix see :func:`~levelsurf.surface_fem.scaled_mass_cond`."""
-    lam_max = eig_extreme(A, "max")
-    lam_min = eig_extreme(A, "min")
-    return _cond_estimate(lam_max, lam_min)
 
 
 # ---------------------------------------------------------------------------

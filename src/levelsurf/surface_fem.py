@@ -5,7 +5,10 @@ stiffness matrices use the cotangent formula with zero row sums, the
 cotangents coming from the package's one corner-angle kernel
 (:func:`~levelsurf.tet_grid.corner_cross_dot`).  Diagonal scaling
 D^{-1/2} A D^{-1/2} produces a unit-diagonal matrix whose spectrum is what
-the conditioning statements are about.  A surface function is extended off
+the conditioning statements are about.  Mass-matrix condition numbers
+factor no matrix: since D / 2 <= M <= 2 D, Lanczos runs on 2 I - M^s
+directly and on M^{-1} through Jacobi-PCG solves, which converge in a few
+dozen iterations at any mesh size.  A surface function is extended off
 the surface as u(closest point) and interpolated at the vertices.
 Interpolation errors against it are evaluated with a 6-point degree-4
 triangle quadrature; the reference surface gradient is taken by central
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .level_set import SurfaceFunction
-from .sparse_linalg import CondEstimate, eig_extreme
+from .sparse_linalg import CondEstimate, _lanczos, eig_extreme, pcg
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
@@ -34,6 +37,7 @@ __all__ = [
     "assemble_stiffness",
     "diag_scale",
     "scaled_mass_cond",
+    "mass_cond",
 ]
 
 # Symmetric 6-point triangle rule, exact for polynomials of degree 4.
@@ -221,6 +225,23 @@ def diag_scale(A: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return out, d
 
 
+# Relative residual of each inner Jacobi-PCG solve of mass_cond.  Lanczos
+# on an inexact inverse keeps the accuracy of its Ritz values while the
+# inner residual stays far below the outer tolerance (Simoncini & Szyld,
+# SIAM J. Sci. Comput. 25, 2003); 1e-12 lies six orders below the
+# Lanczos tolerance of 1e-6.
+_MASS_SOLVE_TOL = 1e-12
+
+
+def _check_p1_mass(M: sp.spmatrix, d: np.ndarray) -> None:
+    """Raise ValueError unless the rows of M sum to 2 diag(M) = 2 d to
+    1e-12 relative, as those of every P1 mass matrix do."""
+    excess = np.linalg.norm(M @ np.ones(len(d)) - 2.0 * d)
+    if not excess <= 1e-12 * np.linalg.norm(2.0 * d):
+        raise ValueError("not a P1 mass matrix: row sums are not twice "
+                         f"the diagonal (excess {excess:.3e})")
+
+
 def scaled_mass_cond(M: sp.spmatrix) -> CondEstimate:
     """cond(M^s) of a P1 mass matrix M, M^s = D^{-1/2} M D^{-1/2}.
 
@@ -229,15 +250,45 @@ def scaled_mass_cond(M: sp.spmatrix) -> CondEstimate:
     is positive semidefinite.  So lambda_max(M^s) = 2 exactly, with
     eigenvector D^{1/2} 1, and the spectrum lies in [1/2, 2] (Wathen, IMA J.
     Numer. Anal. 7, 1987).  Only lambda_min is estimated, as 2 minus the
-    largest eigenvalue of 2 I - M^s by Lanczos; a Ritz value is an inner
-    bound, so the estimate stays >= 1/2 and cond <= 4.  Raises ValueError
-    unless the rows of M sum to 2 diag(M) to 1e-12 relative.
+    largest eigenvalue of 2 I - M^s by Lanczos, and never below 1/2, so
+    cond <= 4.  Raises ValueError unless the rows of M sum to 2 diag(M) to
+    1e-12 relative.
     """
     Ms, d = diag_scale(M)
-    excess = np.linalg.norm(M @ np.ones(len(d)) - 2.0 * d)
-    if not excess <= 1e-12 * np.linalg.norm(2.0 * d):
-        raise ValueError("not a P1 mass matrix: row sums are not twice "
-                         f"the diagonal (excess {excess:.3e})")
-    lam_min = 2.0 - eig_extreme(2.0 * sp.identity(len(d), format="csr") - Ms,
-                                "max")
+    _check_p1_mass(M, d)
+    top = eig_extreme(2.0 * sp.identity(len(d), format="csr") - Ms, "max")
+    # A Ritz value is an inner bound, so top <= 3/2 in exact arithmetic.
+    # Where lambda_min(M^s) is 1/2 itself, as on the 14-vertex sphere at
+    # h = 2, roundoff can put top a few ulps above 3/2 and cond above 4;
+    # Wathen's bound is the floor.
+    lam_min = max(2.0 - top, 0.5)
     return CondEstimate(2.0, lam_min, 2.0 / lam_min)
+
+
+def mass_cond(M: sp.spmatrix) -> CondEstimate:
+    """cond(M) of a P1 mass matrix M, with no matrix factored.
+
+    lambda_max comes from ``eig_extreme(M, "max")``.  lambda_min is 1 / mu,
+    mu the top Ritz value of Lanczos on M^{-1}, each application a
+    Jacobi-PCG solve to relative residual 1e-12.  The bound D / 2 <= M <=
+    2 D of :func:`scaled_mass_cond` makes the Jacobi-preconditioned M
+    condition at most 4, so every solve takes a few dozen iterations at
+    any mesh size.  That bound rests on the row sums, so this raises
+    ValueError unless the rows of M sum to 2 diag(M) to 1e-12 relative,
+    and np.linalg.LinAlgError when an inner solve misses its tolerance.
+    """
+    M = sp.csr_matrix(M)
+    _check_p1_mass(M, M.diagonal())
+    lam_max = eig_extreme(M, "max")
+
+    def solve(v):
+        x, stats = pcg(M, v, tol=_MASS_SOLVE_TOL, precond="jacobi")
+        if not stats.converged:
+            raise np.linalg.LinAlgError(
+                "mass-matrix solve stopped at relative residual "
+                f"{stats.relres:.3e} after {stats.iterations} Jacobi-PCG "
+                f"iterations, above {_MASS_SOLVE_TOL:g}")
+        return x
+
+    lam_min = 1.0 / _lanczos(solve, M.shape[0])
+    return CondEstimate(lam_max, lam_min, lam_max / lam_min)

@@ -154,7 +154,7 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "spd_cond", fail)
+    monkeypatch.setattr(cli, "mass_cond", fail)
     code = main(["massbound", "--h-list", "0.5,0.25", "--out",
                  str(tmp_path / "o")])
     assert code == 1
@@ -397,14 +397,21 @@ def test_refmatrix_export_and_rerun(tmp_path):
 
 def test_massbound(tmp_path, capsys):
     out = tmp_path / "o"
-    code = main(["massbound", "--h-list", "0.5,0.25", "--out", str(out)])
+    code = main(["massbound", "--h-list", "0.5,0.25,0.125", "--out", str(out)])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
     header, rows = read_csv(out / "massbound.csv")
     assert header == MASSBOUND_COLUMNS
-    assert len(rows) == 2
+    assert [r[:2] for r in rows] == [["0.5", "182"], ["0.25", "830"],
+                                     ["0.125", "3518"]]
     for r in rows:
         assert r[5] == "True"
         assert float(r[3]) <= float(r[4])
-    # the unscaled condition number grows while the scaled one stays put
-    assert float(rows[1][2]) > float(rows[0][2])
+    # cond(M) as the sparse-LU shift-invert estimate gave it (n < 1e4, so
+    # BLAS threading does not enter); cond(M^s) to the last digit.
+    np.testing.assert_allclose(
+        [float(r[2]) for r in rows],
+        [19.855245407567594, 41.38924249121716, 103.12050560280125],
+        rtol=1e-12)
+    assert [r[3] for r in rows] == ["3.9650319181335605", "3.9574886385368866",
+                                    "3.955849818127888"]

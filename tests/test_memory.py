@@ -20,7 +20,7 @@ from levelsurf.level_set import product_arctan_function
 from levelsurf.sparse_linalg import effective_cond
 from levelsurf.surface_fem import (assemble_mass, assemble_stiffness,
                                    diag_scale, h1_semi_error, interpolate,
-                                   l2_error, scaled_mass_cond)
+                                   l2_error, mass_cond, scaled_mass_cond)
 
 from conftest import BOX, sphere_surface
 
@@ -74,13 +74,15 @@ def sphere_h16():
     return sphere_surface(0.0625)
 
 
-@pytest.mark.parametrize("estimate", ["scaled_mass_cond", "effective_cond"])
+@pytest.mark.parametrize("estimate",
+                         ["scaled_mass_cond", "mass_cond", "effective_cond"])
 def test_eigen_estimate_peak_is_a_few_vectors(sphere_h16, estimate):
     _, surf = sphere_h16
-    if estimate == "scaled_mass_cond":
+    if estimate != "effective_cond":
         M = assemble_mass(surf)
         n = M.shape[0]
-        peak = traced_peak(lambda: scaled_mass_cond(M))
+        cond = scaled_mass_cond if estimate == "scaled_mass_cond" else mass_cond
+        peak = traced_peak(lambda: cond(M))
     else:
         As, d = diag_scale(assemble_stiffness(surf))
         n = len(d)

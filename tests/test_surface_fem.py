@@ -22,6 +22,7 @@ from levelsurf.surface_fem import (
     h1_semi_error,
     interpolate,
     l2_error,
+    mass_cond,
     scaled_mass_cond,
 )
 from levelsurf.level_set import SurfaceFunction
@@ -260,32 +261,77 @@ def test_scaled_mass_cond_matches_dense(h, zc):
     assert est.lambda_min >= 0.5 and est.cond <= 4.0
     assert est.cond == 2.0 / est.lambda_min
 
+    w = np.linalg.eigvalsh(M.toarray())
+    est = mass_cond(M)
+    npt.assert_allclose(est.lambda_max, w[-1], rtol=1e-6)
+    # A Ritz value of M^-1 is at most 1 / w[0], and Lanczos stops within
+    # 1e-6 of an eigenvalue.  At h = 1/8, z_c = 0.03 the two smallest lie
+    # 1.7e-6 apart and the estimate lands between them, 1.3e-6 above w[0].
+    assert est.lambda_min >= w[0] * (1.0 - 1e-6)
+    near = w[np.argmin(np.abs(w - est.lambda_min))]
+    npt.assert_allclose(est.lambda_min, near, rtol=1e-6)
+    assert est.cond == est.lambda_max / est.lambda_min
 
-def test_scaled_mass_cond_rejects_other_matrices(sphere_h4):
+
+@pytest.mark.parametrize("zc", [0.0, 0.9])
+def test_scaled_mass_cond_at_most_4_at_wathen_bound(zc):
+    # The 14-vertex sphere at h = 2 has lambda_min(Ms) = 1/2 to roundoff,
+    # where a Ritz value of 2 I - Ms can land a few ulps above 3/2.
+    _, surf = sphere_surface(2.0, zc=zc)
+    M = assemble_mass(surf)
+    Ms, _ = diag_scale(M)
+    npt.assert_allclose(np.linalg.eigvalsh(Ms.toarray())[0], 0.5, rtol=1e-12)
+    est = scaled_mass_cond(M)
+    assert est.lambda_min >= 0.5 and est.cond <= 4.0
+
+
+@pytest.mark.parametrize("cond", [scaled_mass_cond, mass_cond],
+                         ids=lambda f: f.__name__)
+def test_scaled_mass_cond_rejects_other_matrices(sphere_h4, cond):
     _, surf = sphere_h4
     with pytest.raises(ValueError, match="not a P1 mass matrix"):
-        scaled_mass_cond(assemble_stiffness(surf))
+        cond(assemble_stiffness(surf))
     diagonal = sp.diags(assemble_mass(surf).diagonal(), format="csr")
     with pytest.raises(ValueError, match="not a P1 mass matrix"):
-        scaled_mass_cond(diagonal)
+        cond(diagonal)
 
 
 def test_scaled_mass_cond_factors_nothing(monkeypatch):
-    # Ms at h = 1/16 (n = 14 282): lambda_max is known and lambda_min comes
-    # from a direct run on 2 I - Ms, so no LU is ever factored.
+    # M at h = 1/16 (n = 14 282): lambda_max(Ms) is known and lambda_min(Ms)
+    # comes from a direct run on 2 I - Ms; M's own lambda_min comes from
+    # Lanczos on Jacobi-PCG solves.  So no LU is ever factored.
     _, surf = sphere_surface(0.0625)
     M = assemble_mass(surf)
     Ms, _ = diag_scale(M)
-    lam_min = eig_extreme(Ms, "min")
+    lam_min_s = eig_extreme(Ms, "min")
+    lam_max, lam_min = eig_extreme(M, "max"), eig_extreme(M, "min")
 
     def no_lu(*args, **kwargs):
-        raise AssertionError("scaled_mass_cond factored a matrix")
+        raise AssertionError("a mass matrix was factored")
 
     monkeypatch.setattr(sparse_linalg.spla, "splu", no_lu)
     est = scaled_mass_cond(M)
-    npt.assert_allclose(est.lambda_min, lam_min, rtol=1e-6)
+    npt.assert_allclose(est.lambda_min, lam_min_s, rtol=1e-6)
     assert 0.5 <= est.lambda_min <= est.lambda_max == 2.0
     assert est.cond <= MASS_BOUND
+
+    est = mass_cond(M)
+    assert est.lambda_max == lam_max
+    npt.assert_allclose(est.lambda_min, lam_min, rtol=1e-6)
+
+
+def test_mass_cond_raises_on_unconverged_solve(sphere_h4, monkeypatch):
+    _, surf = sphere_h4
+    M = assemble_mass(surf)
+
+    def stalled(A, b, *args, **kwargs):
+        x, stats = sparse_linalg.pcg(A, b, *args, **kwargs)
+        return x, sparse_linalg.SolveStats(stats.iterations, stats.relres,
+                                           False)
+
+    monkeypatch.setattr(surface_fem, "pcg", stalled)
+    with pytest.raises(np.linalg.LinAlgError, match="mass-matrix solve"):
+        mass_cond(M)
 
 
 def test_interpolate_constant(sphere_h4):
