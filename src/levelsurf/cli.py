@@ -40,6 +40,7 @@ from .mesh_quality import quality_report
 from .sparse_linalg import (
     EigNonConvergence,
     ZeroPivotError,
+    _norm,
     build_reference_matrix,
     effective_cond,
     pcg,
@@ -276,14 +277,14 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
         A = assemble_stiffness(surface)
         As, d = diag_scale(A)
         kernel = np.sqrt(d)
-        kernel /= np.linalg.norm(kernel)
+        kernel /= _norm(kernel)
         try:
             cond_as = effective_cond(As, kernel).cond
         except EigNonConvergence:
             cond_as = float("nan")
             unconverged.append(zc)
         v = rng.standard_normal(As.shape[0])
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
         # Plain ILU(0) for the (semidefinite) surface systems: the
         # row-compensated variant can turn singular row sums into
         # non-positive pivots.  Jacobi is the fallback of last resort.
@@ -314,7 +315,7 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
     A = build_reference_matrix(args.blocks, args.block_size)
     rng = np.random.default_rng(args.seed)
     v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     b = A @ v
     rows = []
     counts = {}

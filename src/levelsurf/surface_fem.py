@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .level_set import SurfaceFunction
-from .sparse_linalg import CondEstimate, _lanczos, eig_extreme, pcg
+from .sparse_linalg import CondEstimate, _lanczos, _norm, eig_extreme, pcg
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
@@ -236,8 +236,8 @@ _MASS_SOLVE_TOL = 1e-12
 def _check_p1_mass(M: sp.spmatrix, d: np.ndarray) -> None:
     """Raise ValueError unless the rows of M sum to 2 diag(M) = 2 d to
     1e-12 relative, as those of every P1 mass matrix do."""
-    excess = np.linalg.norm(M @ np.ones(len(d)) - 2.0 * d)
-    if not excess <= 1e-12 * np.linalg.norm(2.0 * d):
+    excess = _norm(M @ np.ones(len(d)) - 2.0 * d)
+    if not excess <= 1e-12 * _norm(2.0 * d):
         raise ValueError("not a P1 mass matrix: row sums are not twice "
                          f"the diagonal (excess {excess:.3e})")
 

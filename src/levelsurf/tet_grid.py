@@ -5,7 +5,9 @@ main diagonal, so neighbouring cubes match face-to-face and the mesh is
 conforming by construction.  Nodes are indexed lexicographically with x
 running fastest.  The module also provides the two shape metrics used for
 stability statements: the enclosing/inscribed ball-diameter ratio and the
-minimum angle over face angles and edge-to-opposite-face angles.  Every
+minimum angle over face angles and edge-to-opposite-face angles.  A lattice
+evaluates both on the six Kuhn tets of one cube; only ``tet_coords``,
+``face_multiplicities`` and :func:`tet_volumes` build its ``tets``.  Every
 inner angle of a polygon in the package (tet faces, surface triangles,
 cut quads, the cotangents of the stiffness matrix) comes from one kernel,
 :func:`corner_cross_dot`, and every Euclidean length of a 3-vector (edge
@@ -16,6 +18,7 @@ can import this one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +33,6 @@ __all__ = [
     "norm3",
     "shape_regularity",
     "min_angle_theta",
-    "tet_face_angles",
-    "tet_edge_face_angles",
 ]
 
 # Kuhn subdivision of the unit cube with corners numbered
@@ -271,97 +272,71 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
 def tet_volumes(mesh: TetMesh) -> np.ndarray:
     """Signed volumes of all tets (positive for correctly oriented meshes)."""
     p = mesh.tet_coords()
-    e = p[:, 1:] - p[:, :1]
-    return np.linalg.det(e) / 6.0
+    return np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
 
 
-def _check_nondegenerate(vol: np.ndarray, scale: float) -> None:
-    bad = np.flatnonzero(np.abs(vol) <= 1e-14 * scale**3)
-    if bad.size:
-        raise ValueError(f"degenerate tetrahedron at index {bad[0]}")
+def _tet_shapes(mesh: TetMesh) -> np.ndarray:
+    """Corners, (k, 4, 3), of one tet per distinct shape of ``mesh``.
 
-
-def _face_frames(p: np.ndarray):
-    """Corner a, edges u = b - a and v = c - a, and normal u x v of each face.
-
-    ``p`` has shape (M, 4, 3); face f is the triple (a, b, c) =
-    ``_OPP_FACES[f]``, opposite vertex f.  Each array is (M, 4, 3).
+    Every tet of a Kuhn lattice is a translate of one of the six tets of
+    cube 0, and both quality measures are translation-invariant, so a
+    lattice gives those six and never builds ``tets``.  An explicit mesh
+    gives every one of its tets.
     """
+    if mesh.is_kuhn_lattice:
+        return mesh.node_coords(mesh.tet_nodes(np.arange(6)))
+    return mesh.tet_coords()
+
+
+def _face_normals(p: np.ndarray) -> np.ndarray:
+    """Normal (b - a) x (c - a) of each face (a, b, c) = ``_OPP_FACES[f]``,
+    opposite vertex f, of tets ``p`` (M, 4, 3); shape (M, 4, 3)."""
     f = p[:, _OPP_FACES]
-    a = f[:, :, 0]
-    u = f[:, :, 1] - a
-    v = f[:, :, 2] - a
-    return a, u, v, np.cross(u, v)
+    return np.cross(f[:, :, 1] - f[:, :, 0], f[:, :, 2] - f[:, :, 0])
 
 
-def _enclosing_ball_diameters(p: np.ndarray, a: np.ndarray, u: np.ndarray,
-                              v: np.ndarray) -> np.ndarray:
-    """Diameter of the smallest ball containing each tet.
+def _enclosing_ball_diameters(p: np.ndarray) -> np.ndarray:
+    """Diameter of the smallest ball containing each tet of ``p`` (M, 4, 3).
 
-    ``p`` has shape (M, 4, 3) and (a, u, v) are its faces' frames.
-    Candidates: balls spanned by each edge (diameter = edge), circumcircles
-    of each face, and the circumsphere; the smallest candidate containing
-    all four vertices wins.
+    The smallest enclosing ball of a point set is the circumball of some
+    subset of it, centered in the subset's affine hull.  For each of the
+    11 vertex subsets of size 2-4, the center q + E^T lam, with q the
+    subset's first vertex and E the edges from q, solves the Gram system
+    (E E^T) lam = diag(E E^T) / 2; the smallest such ball that contains
+    the other vertices, to a relative 1e-12, wins.  The whole tet's
+    circumsphere has no other vertex, so a candidate always exists.
     """
-    M = len(p)
-    tol = 1.0 + 1e-12
-    best = np.full(M, np.inf)
-
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for i, j in pairs:
-        c = 0.5 * (p[:, i] + p[:, j])
-        r = 0.5 * norm3(p[:, i] - p[:, j])
-        ok = np.ones(M, dtype=bool)
-        for o in range(4):
-            if o in (i, j):
-                continue
-            ok &= norm3(p[:, o] - c) <= r * tol + 1e-300
-        best = np.where(ok, np.minimum(best, r), best)
-
-    # circumcircle of face f; the vertex it must also contain is vertex f
-    uu = np.einsum("...j,...j->...", u, u)
-    vv = np.einsum("...j,...j->...", v, v)
-    uv = np.einsum("...j,...j->...", u, v)
-    det = uu * vv - uv * uv
-    safe = np.abs(det) > 1e-300
-    alpha = np.where(safe, (0.5 * (uu * vv - vv * uv)) / np.where(safe, det, 1.0), 0.0)
-    beta = np.where(safe, (0.5 * (uu * vv - uu * uv)) / np.where(safe, det, 1.0), 0.0)
-    c = a + alpha[..., None] * u + beta[..., None] * v
-    r = norm3(a - c)
-    ok = safe & (norm3(p - c) <= r * tol + 1e-300)
-    best = np.minimum(best, np.where(ok, r, np.inf).min(axis=1))
-
-    # circumsphere: 2 (p_i - p_0) . c = |p_i|^2 - |p_0|^2
-    A = 2.0 * (p[:, 1:] - p[:, :1])
-    rhs = np.einsum("ijk,ijk->ij", p[:, 1:], p[:, 1:]) - np.einsum(
-        "ik,ik->i", p[:, 0], p[:, 0]
-    )[:, None]
-    c = np.linalg.solve(A, rhs[..., None])[..., 0]
-    r = norm3(p[:, 0] - c)
-    best = np.minimum(best, r)
-
+    best = np.full(len(p), np.inf)
+    for k in (2, 3, 4):
+        for sub in itertools.combinations(range(4), k):
+            q = p[:, sub[0]]
+            E = p[:, sub[1:]] - q[:, None]
+            G = np.einsum("mij,mkj->mik", E, E)
+            lam = np.linalg.solve(G, 0.5 * np.einsum("mii->mi", G)[..., None])
+            c = q + np.einsum("mi,mij->mj", lam[..., 0], E)
+            r = norm3(c - q)
+            rest = p[:, [o for o in range(4) if o not in sub]] - c[:, None]
+            ok = np.all(norm3(rest) <= r[:, None] * (1.0 + 1e-12) + 1e-300, axis=1)
+            best = np.where(ok, np.minimum(best, r), best)
     return 2.0 * best
 
 
-def shape_regularity(mesh: TetMesh, per_tet: bool = False):
-    """Ball-diameter ratio max_S rho(S)/r(S).
+def shape_regularity(mesh: TetMesh) -> float:
+    """Ball-diameter ratio max_S rho(S)/r(S) over the tets S of ``mesh``.
 
     rho(S) is the diameter of the smallest ball containing S, r(S) the
     diameter of the largest ball contained in S (2 * 3V / sum of face areas).
-
-    Returns the maximum over all tets, or the per-tet array if ``per_tet``.
+    A lattice evaluates only the six Kuhn tets of one cube.
     """
-    p = mesh.tet_coords()
+    p = _tet_shapes(mesh)
     vol = np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6.0
-    _check_nondegenerate(vol, scale=max(mesh.h, 1e-30))
-
-    a, u, v, n = _face_frames(p)
-    area = 0.5 * norm3(n)
+    bad = np.flatnonzero(vol <= 1e-14 * max(mesh.h, 1e-30) ** 3)
+    if bad.size:
+        raise ValueError(f"degenerate tetrahedron at index {bad[0]}")
+    area = 0.5 * norm3(_face_normals(p))
     area_sum = area[:, 3] + area[:, 2] + area[:, 1] + area[:, 0]
     inscribed = 2.0 * 3.0 * vol / area_sum
-
-    ratio = _enclosing_ball_diameters(p, a, u, v) / inscribed
-    return ratio if per_tet else float(ratio.max())
+    return float((_enclosing_ball_diameters(p) / inscribed).max())
 
 
 def corner_cross_dot(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,21 +369,20 @@ def norm3(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
-def tet_face_angles(mesh: TetMesh) -> np.ndarray:
-    """All 12 face angles per tet (4 faces x 3 corners), radians, (M, 12)."""
-    faces = mesh.tet_coords()[:, _OPP_FACES]
-    return np.arctan2(*corner_cross_dot(faces)).reshape(len(faces), 12)
+def _face_angles(p: np.ndarray) -> np.ndarray:
+    """All 12 face angles of tets ``p`` (M, 4, 3): 4 faces x 3 corners,
+    radians, (M, 12)."""
+    return np.arctan2(*corner_cross_dot(p[:, _OPP_FACES])).reshape(len(p), 12)
 
 
-def tet_edge_face_angles(mesh: TetMesh) -> np.ndarray:
+def _edge_face_angles(p: np.ndarray) -> np.ndarray:
     """Angles between each edge at a vertex and the opposite face's plane.
 
-    For every vertex v and each of the 3 edges meeting v, the angle between
-    that edge and the plane of the face opposite v: 12 angles per tet,
-    radians, shape (M, 12).
+    For every vertex v of tets ``p`` (M, 4, 3) and each of the 3 edges
+    meeting v, the angle between that edge and the plane of the face
+    opposite v: 12 angles per tet, radians, shape (M, 12).
     """
-    p = mesh.tet_coords()
-    n = _face_frames(p)[3]
+    n = _face_normals(p)
     nn = norm3(n)
     if np.any(nn <= 1e-300):
         raise ValueError("degenerate tetrahedron face")
@@ -423,8 +397,8 @@ def tet_edge_face_angles(mesh: TetMesh) -> np.ndarray:
 def min_angle_theta(mesh: TetMesh) -> float:
     """Minimum over all tets of face angles and edge-to-opposite-face angles.
 
-    Returns radians; for the Kuhn mesh the value is pi/6 independent of h.
+    Returns radians; for the Kuhn mesh the value is pi/6 independent of h,
+    and a lattice evaluates only the six Kuhn tets of one cube.
     """
-    return float(
-        min(tet_face_angles(mesh).min(), tet_edge_face_angles(mesh).min())
-    )
+    p = _tet_shapes(mesh)
+    return float(min(_face_angles(p).min(), _edge_face_angles(p).min()))

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from levelsurf.cli import (
     main,
 )
 from levelsurf.sparse_linalg import EigNonConvergence, ZeroPivotError
+from levelsurf.tet_grid import TetMesh
 
 
 def read_csv(path):
@@ -407,11 +411,58 @@ def test_massbound(tmp_path, capsys):
     for r in rows:
         assert r[5] == "True"
         assert float(r[3]) <= float(r[4])
-    # cond(M) as the sparse-LU shift-invert estimate gave it (n < 1e4, so
-    # BLAS threading does not enter); cond(M^s) to the last digit.
+    # cond(M) as the sparse-LU shift-invert estimate gave it; cond(M^s) to
+    # the last digit, as the solvers' einsum reductions give it.
     np.testing.assert_allclose(
         [float(r[2]) for r in rows],
         [19.855245407567594, 41.38924249121716, 103.12050560280125],
         rtol=1e-12)
-    assert [r[3] for r in rows] == ["3.9650319181335605", "3.9574886385368866",
-                                    "3.955849818127888"]
+    assert [r[3] for r in rows] == ["3.965031918125352", "3.957488638536791",
+                                    "3.9558498181229225"]
+
+
+# ---------------------------------------------------------------------------
+# every command
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--h", "0.25", "--export", "obj,vtk,mm"],
+    ["convergence", "--h-list", "0.5,0.25,0.125"],
+    ["conditioning", "--h", "0.5", "--zc-list", "0.03,0"],
+    ["massbound", "--h-list", "0.5,0.25"],
+], ids=lambda argv: argv[0])
+def test_commands_build_no_mesh_arrays(argv, tmp_path, monkeypatch):
+    # The lattice's (n+1)^3 nodes and 6 n^3 tets do not fit in memory at
+    # the finest mesh sizes; no command may ask for either array.
+    def refuse(self):
+        raise AssertionError("the command built the mesh's node or tet array")
+
+    monkeypatch.setattr(TetMesh, "tets", property(refuse))
+    monkeypatch.setattr(TetMesh, "nodes", property(refuse))
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # BLAS splits a long dot product over its threads, and the partial sums
+    # add up in an order set by the thread count.  n = 14 400 (refmatrix)
+    # and about 14 300 (the h = 1/16 sphere) are above OpenBLAS's threading
+    # threshold.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    commands = [["refmatrix"],
+                ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0"]]
+    outputs = {}
+    for threads in ("1", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in commands:
+            out = tmp_path / f"{argv[0]}-{threads}"
+            subprocess.run([sys.executable, "-m", "levelsurf", *argv,
+                            "--out", str(out)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            outputs[argv[0], threads] = {
+                p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name != "config.json"}
+    for argv in commands:
+        assert outputs[argv[0], "1"] == outputs[argv[0], "3"], argv[0]

@@ -1,16 +1,18 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import minimize
 
 from levelsurf.tet_grid import (
     BoxDomain,
     TetMesh,
+    _edge_face_angles,
+    _enclosing_ball_diameters,
+    _face_angles,
     build_uniform_mesh,
     min_angle_theta,
     norm3,
     shape_regularity,
-    tet_edge_face_angles,
-    tet_face_angles,
     tet_volumes,
 )
 
@@ -113,9 +115,69 @@ def test_shape_regularity_regular_tet():
 
 
 def test_shape_regularity_per_tet(mesh_h4):
-    per = shape_regularity(mesh_h4, per_tet=True)
-    assert per.shape == (mesh_h4.n_tets,)
-    npt.assert_allclose(per, KUHN_ALPHA, rtol=1e-12)
+    # The main diagonal of its cube is a diameter of every Kuhn tet's
+    # smallest enclosing ball: the other two vertices see it at right angles.
+    rho = _enclosing_ball_diameters(mesh_h4.tet_coords())
+    assert rho.shape == (mesh_h4.n_tets,)
+    npt.assert_allclose(rho, np.sqrt(3.0) * mesh_h4.h, rtol=1e-12)
+
+
+def test_lattice_quality_builds_no_tets(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a lattice quality measure built the mesh arrays")
+
+    monkeypatch.setattr(TetMesh, "tets", property(refuse))
+    monkeypatch.setattr(TetMesh, "nodes", property(refuse))
+    mesh = build_uniform_mesh(BoxDomain((-2, -2, -2), (2, 2, 2)), 1 / 64)
+    npt.assert_allclose(shape_regularity(mesh), KUHN_ALPHA, rtol=1e-12)
+    npt.assert_allclose(min_angle_theta(mesh), KUHN_MIN_ANGLE, rtol=1e-12)
+    assert mesh._tets is None
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_quality_matches_explicit_copy(name):
+    # The explicit copy evaluates every tet, the lattice only the six of
+    # cube 0; the other cubes' tets translate those only up to the rounding
+    # of lo + h * i.
+    mesh = build_uniform_mesh(*LATTICES[name])
+    copy = TetMesh(mesh.nodes, mesh.tets, mesh.h, mesh.box)
+    npt.assert_allclose(shape_regularity(mesh), shape_regularity(copy),
+                        rtol=1e-12)
+    npt.assert_allclose(min_angle_theta(mesh), min_angle_theta(copy),
+                        rtol=1e-12)
+
+
+def _smallest_ball_slsqp(p):
+    """(center, radius) of the smallest ball containing the points p, by
+    SLSQP on min t subject to |p_i - c|^2 <= t: no vertex subsets."""
+    c0 = p.mean(axis=0)
+    x0 = np.append(c0, ((p - c0) ** 2).sum(axis=1).max())
+    res = minimize(
+        lambda x: x[3], x0, jac=lambda x: np.array([0.0, 0.0, 0.0, 1.0]),
+        method="SLSQP", options={"ftol": 1e-12, "maxiter": 500},
+        constraints={"type": "ineq",
+                     "fun": lambda x: x[3] - ((p - x[:3]) ** 2).sum(axis=1),
+                     "jac": lambda x: np.column_stack([2.0 * (p - x[:3]),
+                                                       np.ones(len(p))])})
+    # Near the optimum its line search may stop short of ftol; the ball
+    # must still contain every point, and the test compares its size.
+    assert ((p - res.x[:3]) ** 2).sum(axis=1).max() <= res.x[3] * (1 + 1e-10)
+    return res.x[:3], np.sqrt(res.x[3])
+
+
+def test_enclosing_ball_matches_optimizer():
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal((200, 4, 3))
+    p = p[np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) > 1e-3]
+    got = _enclosing_ball_diameters(p)
+    want, on_sphere = [], []
+    for q in p:
+        c, r = _smallest_ball_slsqp(q)
+        want.append(2.0 * r)
+        on_sphere.append(int((norm3(q - c) >= r * (1.0 - 1e-6)).sum()))
+    npt.assert_allclose(got, want, rtol=1e-8)
+    # edge balls (2 vertices on the sphere), face balls (3) and circumspheres
+    assert set(on_sphere) == {2, 3, 4}
 
 
 def test_degenerate_tet_reported():
@@ -132,24 +194,26 @@ def test_min_angle_kuhn():
 
 
 def test_min_face_angle_kuhn():
-    face = tet_face_angles(unit_cube_mesh())
+    face = _face_angles(unit_cube_mesh().tet_coords())
     npt.assert_allclose(face.min(), KUHN_MIN_FACE_ANGLE, rtol=1e-12)
 
 
 def test_angle_shapes(mesh_h2):
-    assert tet_face_angles(mesh_h2).shape == (mesh_h2.n_tets, 12)
-    assert tet_edge_face_angles(mesh_h2).shape == (mesh_h2.n_tets, 12)
+    p = mesh_h2.tet_coords()
+    assert _face_angles(p).shape == (mesh_h2.n_tets, 12)
+    assert _edge_face_angles(p).shape == (mesh_h2.n_tets, 12)
 
 
 def test_min_angle_regular_tet():
     mesh = regular_tet_mesh()
     npt.assert_allclose(min_angle_theta(mesh), REGULAR_MIN_ANGLE, rtol=1e-12)
-    npt.assert_allclose(tet_face_angles(mesh), np.pi / 3.0, rtol=1e-12)
+    npt.assert_allclose(_face_angles(mesh.tet_coords()), np.pi / 3.0,
+                        rtol=1e-12)
 
 
 def test_face_angle_sums(mesh_h2):
     # The three angles of every tet face sum to pi.
-    ang = tet_face_angles(mesh_h2).reshape(mesh_h2.n_tets, 4, 3)
+    ang = _face_angles(mesh_h2.tet_coords()).reshape(mesh_h2.n_tets, 4, 3)
     npt.assert_allclose(ang.sum(axis=2), np.pi, rtol=1e-12)
 
 
