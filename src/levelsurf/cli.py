@@ -204,12 +204,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     lsio.write_json(os.path.join(out, "quality.json"), report.as_dict())
     lsio.write_csv(os.path.join(out, "quality.csv"), QUALITY_COLUMNS,
                    [_quality_row(args.zc, report)])
-    if "obj" in args.export:
-        lsio.write_obj(os.path.join(out, "surface.obj"),
-                       surface.vertices, surface.triangles)
-    if "vtk" in args.export:
-        lsio.write_vtk_surface(os.path.join(out, "surface.vtk"),
-                               surface.vertices, surface.triangles)
+    obj = os.path.join(out, "surface.obj") if "obj" in args.export else None
+    vtk = os.path.join(out, "surface.vtk") if "vtk" in args.export else None
+    if obj and vtk:
+        # one pass formats each vertex coordinate once for both files
+        lsio._write_surface(surface.vertices, surface.triangles, obj, vtk)
+    elif obj:
+        lsio.write_obj(obj, surface.vertices, surface.triangles)
+    elif vtk:
+        lsio.write_vtk_surface(vtk, surface.vertices, surface.triangles)
     if "mm" in args.export:
         Ms, _ = diag_scale(assemble_mass(surface))
         As, _ = diag_scale(assemble_stiffness(surface))

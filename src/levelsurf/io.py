@@ -3,16 +3,20 @@
 All text formats round-trip floats through :func:`repr`, so rerunning a
 command on identical inputs produces byte-identical files.
 
-The OBJ and VTK writers format a mesh in blocks of at most ``_BLOCK_ROWS``
-rows.  A block is one ``%``-format of its row template repeated once per
-row, such as ``"v %r %r %r\n" * k``, applied to the block's values as
-Python floats or ints.  ``%r`` of a Python float is its ``repr``, so the
-bytes are those of formatting row by row, at a fraction of the cost, and
-the temporaries stay the size of one block however large the surface.
+The OBJ and VTK writers share one writer that formats a mesh in blocks of
+at most ``_BLOCK_ROWS`` rows.  A block is one ``%``-format of its row
+template repeated once per row, such as ``"%r %r %r\n" * k``, applied to
+the block's values as Python floats or ints.  ``%r`` of a Python float is
+its ``repr``, so the bytes are those of formatting row by row, at a
+fraction of the cost, and the temporaries stay the size of one block
+however large the surface.  A vertex block is formatted once: VTK writes
+its text as is and OBJ prefixes each of its lines with ``"v "``, so
+writing both files formats every vertex coordinate once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -73,39 +77,56 @@ def write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _write_rows(f, row: str, values: np.ndarray) -> None:
-    """Write each row of ``values`` through the ``%``-template ``row``."""
+def _blocks(row: str, values: np.ndarray):
+    """Yield the text of each ``_BLOCK_ROWS`` rows of ``values`` through the
+    ``%``-template ``row``."""
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
-        f.write((row * len(block)) % tuple(block.ravel().tolist()))
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_surface(vertices: np.ndarray, triangles: np.ndarray,
+                   obj_path: str | None = None,
+                   vtk_path: str | None = None) -> None:
+    """Write a triangle mesh as OBJ, legacy VTK, or both.
+
+    Each vertex block is formatted once and written to every file asked for.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    nt = len(triangles)
+    with contextlib.ExitStack() as stack:
+        obj, vtk = (None if path is None else stack.enter_context(open(path, "w"))
+                    for path in (obj_path, vtk_path))
+        if vtk:
+            vtk.write("# vtk DataFile Version 3.0\n"
+                      "levelsurf surface\n"
+                      "ASCII\n"
+                      "DATASET POLYDATA\n"
+                      f"POINTS {len(vertices)} double\n")
+        for text in _blocks("%r %r %r\n", vertices):
+            if vtk:
+                vtk.write(text)
+            if obj:
+                obj.write("v " + text[:-1].replace("\n", "\nv ") + "\n")
+        if obj:
+            obj.writelines(_blocks("f %d %d %d\n", triangles + 1))
+            if len(vertices) == nt == 0:
+                obj.write("\n")      # a file with no rows is still one line
+        if vtk:
+            vtk.write(f"POLYGONS {nt} {4 * nt}\n")
+            vtk.writelines(_blocks("3 %d %d %d\n", triangles))
 
 
 def write_obj(path: str, vertices: np.ndarray, triangles: np.ndarray) -> None:
     """Write a triangle mesh as a Wavefront OBJ file (1-based indices)."""
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    with open(path, "w") as f:
-        _write_rows(f, "v %r %r %r\n", vertices)
-        _write_rows(f, "f %d %d %d\n", triangles + 1)
-        if len(vertices) == len(triangles) == 0:
-            f.write("\n")      # a file with no rows is still one line
+    _write_surface(vertices, triangles, obj_path=path)
 
 
 def write_vtk_surface(path: str, vertices: np.ndarray,
                       triangles: np.ndarray) -> None:
     """Write a triangle mesh as legacy ASCII VTK POLYDATA (no point data)."""
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    nt = len(triangles)
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n"
-                "levelsurf surface\n"
-                "ASCII\n"
-                "DATASET POLYDATA\n"
-                f"POINTS {len(vertices)} double\n")
-        _write_rows(f, "%r %r %r\n", vertices)
-        f.write(f"POLYGONS {nt} {4 * nt}\n")
-        _write_rows(f, "3 %d %d %d\n", triangles)
+    _write_surface(vertices, triangles, vtk_path=path)
 
 
 def write_matrix_market(path: str, A: sp.spmatrix) -> None:

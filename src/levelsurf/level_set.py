@@ -149,14 +149,18 @@ class SurfaceFunction:
 def interpolate_nodal(spec, mesh: TetMesh) -> NodalField:
     """Evaluate the level-set spec at all mesh nodes.
 
-    Nodes are sampled in chunks of at most ``_SAMPLE_CHUNK`` consecutive
-    ids, so no (N, 3) coordinate array is ever built; ``spec.evaluate``
-    must therefore be pointwise.
+    Nodes are sampled in chunks of ``_SAMPLE_CHUNK`` consecutive ids (the
+    last one shorter), each passed to ``spec.evaluate`` as an (m, 3)
+    array, so no (N, 3) coordinate array is ever built; ``spec.evaluate``
+    must therefore be pointwise.  On a lattice the chunk coordinates are
+    sliced from periodic copies of the x and y axes and the z values
+    repeated, with no per-node integer division.
     """
     values = np.empty(mesh.n_nodes)
-    for start in range(0, mesh.n_nodes, _SAMPLE_CHUNK):
-        ids = np.arange(start, min(start + _SAMPLE_CHUNK, mesh.n_nodes))
-        values[start:start + _SAMPLE_CHUNK] = spec.evaluate(mesh.node_coords(ids))
+    start = 0
+    for points in mesh._node_chunks(_SAMPLE_CHUNK):
+        values[start:start + len(points)] = spec.evaluate(points)
+        start += len(points)
     return NodalField(mesh=mesh, values=values)
 
 
@@ -170,7 +174,8 @@ def snap_small_values(field: NodalField, eps_snap: float | None = None) -> Nodal
     """
     v = field.values
     if eps_snap is None:
-        vmax = float(np.abs(v).max()) if v.size else 0.0
+        # max|v| without an |v| temporary; exact for finite values
+        vmax = float(max(v.max(), -v.min())) if v.size else 0.0
         if vmax == 0.0:
             raise ValueError("cannot snap an identically zero field")
         eps_snap = 1e-10 * vmax

@@ -36,6 +36,11 @@ def triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     no well-defined angles and raise.
     """
     p = np.asarray(vertices, dtype=float)[np.asarray(triangles, dtype=np.int64)]
+    return _corner_angles(p)
+
+
+def _corner_angles(p: np.ndarray) -> np.ndarray:
+    """Inner angles (F, 3) of triangles with corners ``p`` (F, 3, 3)."""
     cross, dot = corner_cross_dot(p)
     # the cross product at corner 0 is twice the triangle's area
     bad = np.flatnonzero(cross[:, 0] <= 0.0)
@@ -68,13 +73,18 @@ class QualityReport:
         return asdict(self)
 
 
-def _assumption_maxima(surface: SurfaceMesh, spec) -> tuple[float, float]:
-    """(max distance sampled at vertices+barycenters, max normal deviation)."""
-    bary = surface.tri_coords().mean(axis=1)
+def _assumption_maxima(surface: SurfaceMesh, spec, p: np.ndarray,
+                       normals: np.ndarray) -> tuple[float, float]:
+    """(max distance sampled at vertices+barycenters, max normal deviation).
+
+    ``p`` are the triangle corners (F, 3, 3) and ``normals`` the unit
+    triangle normals (F, 3) of ``surface``.
+    """
+    bary = p.mean(axis=1)
     d_v = np.abs(spec.signed_distance(surface.vertices))
     d_b = np.abs(spec.signed_distance(bary))
     max_dist = float(max(d_v.max(initial=0.0), d_b.max(initial=0.0)))
-    dev = norm3(spec.normal(bary) - surface.normals())
+    dev = norm3(spec.normal(bary) - normals)
     return max_dist, float(dev.max(initial=0.0))
 
 
@@ -90,7 +100,10 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
             phi_max_deg=float("nan"), phi_min_deg=float("nan"),
             count_below_1deg=0, angle_histogram=[0] * ANGLE_BINS,
         )
-    ang = np.degrees(triangle_angles(surface.vertices, surface.triangles))
+    # one corner gather serves the angles, barycenters and normals; the
+    # angles raise first on a zero-area triangle (|n| is their corner-0 cross)
+    p, n, two_area = surface.tri_geometry()
+    ang = np.degrees(_corner_angles(p))
     hist, _ = np.histogram(ang.ravel(), bins=ANGLE_BINS, range=(0.0, 180.0))
     report = QualityReport(
         n_vertices=surface.n_vertices,
@@ -101,7 +114,8 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
         angle_histogram=[int(c) for c in hist],
     )
     if spec is not None and getattr(spec, "supports_distance", False):
-        report.max_dist, report.max_normal_dev = _assumption_maxima(surface, spec)
+        report.max_dist, report.max_normal_dev = _assumption_maxima(
+            surface, spec, p, n / two_area[:, None])
         report.assumptions_checked = True
     return report
 
@@ -142,7 +156,8 @@ def assumption_residuals(levels, spec) -> AssumptionResiduals:
         raise ValueError("level set does not provide distance/normal handles")
     rows = []
     for h, surf in pairs:
-        md, mn = _assumption_maxima(surf, spec)
+        md, mn = _assumption_maxima(surf, spec, surf.tri_coords(),
+                                    surf.normals())
         rows.append((float(h), md, mn))
     arr = np.asarray(rows)
     return AssumptionResiduals(

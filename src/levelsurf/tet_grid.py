@@ -195,6 +195,34 @@ class TetMesh:
         out[..., 2] = zs[k]
         return out
 
+    def _node_chunks(self, size: int):
+        """Yield the coordinates of nodes 0, 1, ... in chunks of ``size``
+        consecutive ids, each (m, 3) with m = ``size`` except in the last.
+
+        A lattice slices each chunk's x and y columns from two periodic
+        arrays, of length ``size`` + (nx + 1) and ``size`` + (nx + 1)(ny + 1),
+        and repeats its z values, so no node id is divided.
+        """
+        n = self.n_nodes
+        if not self._lattice:
+            for start in range(0, n, size):
+                yield self._nodes[start:start + size]
+            return
+        nx, ny, _ = self.n_cells
+        xs, ys, zs = self._axes
+        row, plane = nx + 1, (nx + 1) * (ny + 1)
+        x_period = np.resize(xs, size + row)
+        y_period = np.resize(np.repeat(ys, row), size + plane)
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            out = np.empty((stop - start, 3))
+            out[:, 0] = x_period[start % row:start % row + len(out)]
+            out[:, 1] = y_period[start % plane:start % plane + len(out)]
+            k0, k1 = start // plane, (stop - 1) // plane + 1
+            ends = np.clip(np.arange(k0, k1 + 1) * plane, start, stop)
+            out[:, 2] = np.repeat(zs[k0:k1], np.diff(ends))
+            yield out
+
     @property
     def n_tets(self) -> int:
         if self._lattice:

@@ -155,6 +155,48 @@ def test_mesh_writers_span_blocks(tmp_path, monkeypatch):
     assert (tmp_path / "m.vtk").read_text() == rowwise_vtk(vertices, triangles)
 
 
+@pytest.mark.parametrize("n", [0, 3, 4, 11])
+def test_shared_surface_writer_matches_rowwise(n, tmp_path, monkeypatch):
+    # both files from one pass, whole and partial blocks, with the edge
+    # rows (-0.0, 5e-324, nan, inf) in the first block
+    monkeypatch.setattr(lsio, "_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(n)
+    vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    vertices[:min(n, 3)] = EDGE_VERTICES[:n]
+    triangles = rng.integers(0, max(n, 1), (n + 1 if n else 0, 3))
+    obj, vtk = tmp_path / "m.obj", tmp_path / "m.vtk"
+    lsio._write_surface(vertices, triangles, str(obj), str(vtk))
+    assert obj.read_text() == rowwise_obj(vertices, triangles)
+    assert vtk.read_text() == rowwise_vtk(vertices, triangles)
+    lsio._write_surface(vertices, triangles, obj_path=str(tmp_path / "o.obj"))
+    lsio._write_surface(vertices, triangles, vtk_path=str(tmp_path / "v.vtk"))
+    assert (tmp_path / "o.obj").read_bytes() == obj.read_bytes()
+    assert (tmp_path / "v.vtk").read_bytes() == vtk.read_bytes()
+    assert not (tmp_path / "o.vtk").exists() and not (tmp_path / "v.obj").exists()
+
+
+@pytest.mark.parametrize("block_rows", [4, None])
+def test_extract_surface_exports_agree(block_rows, tmp_path, monkeypatch):
+    # --export obj, vtk and obj,vtk write the same surface files
+    if block_rows is not None:
+        monkeypatch.setattr(lsio, "_BLOCK_ROWS", block_rows)
+    files = {}
+    for export in ("obj", "vtk", "obj,vtk"):
+        out = tmp_path / export.replace(",", "-")
+        assert main(["extract", "--h", "0.25", "--zc", "0.03",
+                     "--export", export, "--out", str(out)]) == 0
+        for ext in export.split(","):
+            files.setdefault(ext, []).append((out / f"surface.{ext}").read_bytes())
+    assert len(files["obj"]) == len(files["vtk"]) == 2
+    assert files["obj"][0] == files["obj"][1]
+    assert files["vtk"][0] == files["vtk"][1]
+    # the OBJ vertex lines are the VTK POINTS block, each prefixed by "v "
+    obj_lines = files["obj"][0].decode().splitlines()
+    vtk_lines = files["vtk"][0].decode().splitlines()
+    n = int(vtk_lines[4].split()[1])
+    assert [ln[2:] for ln in obj_lines[:n]] == vtk_lines[5:5 + n]
+
+
 # SHA-256 of the exports of `surf extract --h 0.125 --export obj,vtk,mm`.
 # The .mtx pins also hold scipy's MatrixMarket writer to its current bytes.
 EXPORT_SHA256 = {
@@ -171,6 +213,31 @@ EXPORT_SHA256 = {
         "stiffness_scaled.mtx": "dafa2fc3283af15f1eb308bfcdf1aca0b51b9cba1bfd0055b5106c41d0784817",
     },
 }
+
+
+# SHA-256 of `convergence.csv` from `surf convergence --h-list
+# 0.5,0.25,0.125` and of `quality.json` from `surf extract --h 0.125`.
+REPORT_SHA256 = {
+    0.03: {
+        "convergence.csv": "a8e5c56bc54fdd9573bd956452cc771f49716be513b8ed4971d46ab1b18dfe7f",
+        "quality.json": "2343bfe804909ce6b8ca7c218a4b38cd37f6707c3473e18e2d3b3c588e735949",
+    },
+    0.0005: {
+        "convergence.csv": "5d23af9cebde0ec85f42e50a96b6dd5e0579f7acfa910972862b5ba7329ba138",
+        "quality.json": "f9ba2fdb55b0b6b496b9a1cdbd3b8d55787f7425a2b005f0aa204057fd6379b6",
+    },
+}
+
+
+@pytest.mark.parametrize("zc", sorted(REPORT_SHA256))
+def test_reports_pinned(zc, tmp_path):
+    assert main(["convergence", "--h-list", "0.5,0.25,0.125", "--zc", repr(zc),
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["extract", "--h", "0.125", "--zc", repr(zc),
+                 "--out", str(tmp_path / "e")]) == 0
+    got = {name: hashlib.sha256((tmp_path / d / name).read_bytes()).hexdigest()
+           for d, name in (("c", "convergence.csv"), ("e", "quality.json"))}
+    assert got == REPORT_SHA256[zc]
 
 
 @pytest.mark.parametrize("zc", sorted(EXPORT_SHA256))

@@ -96,8 +96,19 @@ SAMPLE_SPECS = {
 }
 
 
+# Chunk sizes set by the lattice: a chunk one x row long or just over it,
+# and one just under or over an xy plane, so that chunks start at every
+# offset within a row and a plane and cross row and plane ends.
+CHUNK_BY_LATTICE = {
+    "nx": lambda nx, ny: nx,
+    "nx+2": lambda nx, ny: nx + 2,
+    "plane-1": lambda nx, ny: (nx + 1) * (ny + 1) - 1,
+    "plane+1": lambda nx, ny: (nx + 1) * (ny + 1) + 1,
+}
+
+
 @pytest.mark.parametrize("explicit", [False, True])
-@pytest.mark.parametrize("chunk", [None, 1, 7, 100])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 100] + sorted(CHUNK_BY_LATTICE))
 @pytest.mark.parametrize("spec_name", sorted(SAMPLE_SPECS))
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_chunk_sampling_matches_meshgrid(name, spec_name, chunk, explicit,
@@ -106,6 +117,8 @@ def test_chunk_sampling_matches_meshgrid(name, spec_name, chunk, explicit,
     mesh = build_uniform_mesh(box, h)
     spec = SAMPLE_SPECS[spec_name]
     expected = spec.evaluate(meshgrid_nodes(mesh))
+    if chunk in CHUNK_BY_LATTICE:
+        chunk = CHUNK_BY_LATTICE[chunk](*mesh.n_cells[:2])
     if explicit:
         mesh = TetMesh(mesh.nodes, mesh.tets, h=mesh.h, box=box)
     if chunk is not None:

@@ -2,7 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from levelsurf.level_set import AnalyticLevelSet, interpolate_nodal, snap_small_values
+from levelsurf.level_set import (
+    AnalyticLevelSet,
+    SphereLevelSet,
+    interpolate_nodal,
+    snap_small_values,
+)
 from levelsurf.mesh_quality import (
     ANGLE_BINS,
     assumption_residuals,
@@ -77,6 +82,12 @@ def test_degenerate_triangle_rejected():
         triangle_angles(v, t)
     with pytest.raises(ValueError, match="degenerate triangle"):
         quality_report(SurfaceMesh.from_arrays(v, t))
+    # with distance and normal handles too, the angle check names the
+    # triangle before the normals would divide by its zero area
+    v = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]], dtype=float)
+    surf = SurfaceMesh.from_arrays(v, np.array([[0, 1, 2], [0, 3, 0]]))
+    with pytest.raises(ValueError, match="degenerate triangle at index 1"):
+        quality_report(surf, SphereLevelSet())
 
 
 def test_quality_report_sphere(sphere_h8):

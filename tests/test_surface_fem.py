@@ -91,6 +91,18 @@ def test_quadrature_weights_positive():
     npt.assert_allclose(TRI_QP_BARY.sum(axis=1), 1.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_quadrature_points_match_einsum(seed):
+    # the broadcast sum gives the einsum's values bit for bit, at every
+    # magnitude from 1e-300 to 1e300
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((500, 3, 3)) * 10.0 ** rng.integers(-300, 301, (500, 3, 3))
+    qp = surface_fem._quadrature_points(p)
+    expected = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
+    assert qp.shape == (500, 6, 3)
+    npt.assert_array_equal(qp, expected)
+
+
 def test_mass_element_matrix_random():
     rng = np.random.default_rng(3)
     for _ in range(20):
