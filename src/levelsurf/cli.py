@@ -111,17 +111,19 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_exports(text: str) -> list[str]:
+def _parse_exports(text: str, formats: tuple[str, ...]) -> list[str]:
     items = [v.strip() for v in text.split(",") if v.strip() != ""]
     for item in items:
-        if item not in ("obj", "vtk", "mm"):
+        if item not in formats:
             raise argparse.ArgumentTypeError(
-                f"unknown export format {item!r} (choose from obj, vtk, mm)"
+                f"unknown export format {item!r} "
+                f"(choose from {', '.join(formats)})"
             )
     return items
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(p: argparse.ArgumentParser, *names: str,
+               exports: tuple[str, ...] = ("obj", "vtk", "mm")) -> None:
     if "h" in names:
         p.add_argument("--h", type=float, default=0.125,
                        help="mesh size (box edge / h must be integer)")
@@ -143,9 +145,9 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--out", default="surf-out",
                        help="output directory (created if missing)")
     if "export" in names:
-        p.add_argument("--export", type=_parse_exports, default=[],
-                       metavar="FMT[,FMT]",
-                       help="extra exports: obj, vtk, mm")
+        p.add_argument("--export", default=[], metavar="FMT[,FMT]",
+                       type=lambda s: _parse_exports(s, exports),
+                       help=f"extra exports: {', '.join(exports)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditioning", help="angle and conditioning table "
                        "over sphere shifts at fixed h")
-    _add_flags(p, "h", "zc-list", "seed", "out", "export")
+    _add_flags(p, "h", "zc-list", "seed", "out", "export", exports=("mm",))
     p.set_defaults(h=0.0625)
 
     p = sub.add_parser("refmatrix", help="PCG iteration counts on the "
                        "block-tridiagonal reference matrix")
-    _add_flags(p, "seed", "out", "export")
+    _add_flags(p, "seed", "out", "export", exports=("mm",))
     p.add_argument("--blocks", type=int, default=120,
                    help="number of block rows")
     p.add_argument("--block-size", type=int, default=120,

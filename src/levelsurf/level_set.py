@@ -25,12 +25,12 @@ __all__ = [
     "interpolate_nodal",
     "snap_small_values",
     "product_arctan_function",
-    "coordinate_function",
-    "constant_function",
 ]
 
 # Nodes per sampling chunk in interpolate_nodal (1.5 MiB of coordinates).
 _SAMPLE_CHUNK = 1 << 16
+# snap_small_values snaps |v| below this fraction of max|phi|.
+_SNAP_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,21 @@ def interpolate_nodal(spec, mesh: TetMesh) -> NodalField:
     return NodalField(mesh=mesh, values=values)
 
 
-def snap_small_values(field: NodalField, eps_snap: float | None = None) -> NodalField:
-    """Replace nodal values with |v| < eps_snap by +eps_snap.
+def snap_small_values(field: NodalField) -> NodalField:
+    """Replace nodal values with |v| < eps by +eps, eps = 1e-10 * max|phi|.
 
     The positive sign convention keeps the replacement deterministic and the
-    operation idempotent.  Default eps_snap is 1e-10 * max|phi|.
+    operation idempotent.  Raises ValueError for an identically zero field.
 
     Returns a new field; the input is not modified.
     """
     v = field.values
-    if eps_snap is None:
-        # max|v| without an |v| temporary; exact for finite values
-        vmax = float(max(v.max(), -v.min())) if v.size else 0.0
-        if vmax == 0.0:
-            raise ValueError("cannot snap an identically zero field")
-        eps_snap = 1e-10 * vmax
-    if eps_snap <= 0:
-        raise ValueError(f"eps_snap must be positive, got {eps_snap}")
-    out = np.where(np.abs(v) < eps_snap, eps_snap, v)
+    # max|v| without an |v| temporary; exact for finite values
+    vmax = float(max(v.max(), -v.min())) if v.size else 0.0
+    if vmax == 0.0:
+        raise ValueError("cannot snap an identically zero field")
+    eps = _SNAP_REL * vmax
+    out = np.where(np.abs(v) < eps, eps, v)
     return NodalField(mesh=field.mesh, values=out)
 
 
@@ -203,23 +200,3 @@ def product_arctan_function() -> SurfaceFunction:
         return g
 
     return SurfaceFunction(value=value, gradient=gradient)
-
-
-def coordinate_function(axis: int = 2) -> SurfaceFunction:
-    """u(x) = x_axis."""
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    e = np.zeros(3)
-    e[axis] = 1.0
-    return SurfaceFunction(
-        value=lambda p: np.asarray(p, dtype=float)[..., axis],
-        gradient=lambda p: np.broadcast_to(e, np.asarray(p).shape).copy(),
-    )
-
-
-def constant_function(c: float = 1.0) -> SurfaceFunction:
-    """u(x) = c."""
-    return SurfaceFunction(
-        value=lambda p: np.full(np.asarray(p).shape[:-1], float(c)),
-        gradient=lambda p: np.zeros(np.asarray(p).shape),
-    )

@@ -16,13 +16,13 @@ pair; lost orthogonality only repeats converged Ritz values, so an end
 value needs no reorthogonalization.  A run starts from a seed-0 random
 vector and stops on a residual bound below 1e-6 times the Ritz value, on
 Krylov breakdown or at its cap of 600 steps.  The largest eigenvalue is
-taken from a run on the matrix itself.  Effective condition numbers
+taken from a run on the matrix itself.  The smallest comes from one
+shift-invert site: a sparse LU (symmetric minimum-degree order, diagonal
+pivots) of A + delta*I, with delta > 0 so that a singular matrix is never
+factorized, and a Lanczos run on its solve.  Effective condition numbers
 project a supplied kernel vector off every Krylov vector and report
-lambda_max / lambda_2, with lambda_2 from a shift-invert run through a
-sparse LU (symmetric minimum-degree order, diagonal pivots) of the
-slightly regularized matrix, so that a singular matrix is never
-factorized.  Mass matrices need no factor: their condition numbers come
-from :mod:`~levelsurf.surface_fem`.
+lambda_max / lambda_2.  Mass matrices need no factor: their condition
+numbers come from :mod:`~levelsurf.surface_fem`.
 """
 
 from __future__ import annotations
@@ -455,64 +455,47 @@ def _lanczos(apply_op, n, project=None):
         best=float(val))
 
 
-def _deflation_projector(deflate: np.ndarray):
-    k = np.asarray(deflate, dtype=float)
-    nk = _norm(k)
-    if nk == 0.0:
-        raise ValueError("deflation vector is zero")
-    k = k / nk
+def _shift_invert_min(A: sp.csr_matrix, delta: float, project=None) -> float:
+    """Bottom of the spectrum of A from a shift-invert Lanczos run.
 
-    def project(w):
-        return w - _dot(k, w) * k
-
-    return k, project
-
-
-def eig_extreme(A, which: str = "max",
-                deflate: np.ndarray | None = None) -> float:
-    """Extreme eigenvalue estimate by Lanczos.
-
-    which="max" runs Lanczos on A itself.  which="min" runs Lanczos on the
-    inverse of A + delta*I (sparse LU; delta a tiny multiple of |A| so a
-    singular input is never factorized) and returns 1/mu - delta: the
-    bottom of the spectrum becomes the well-separated top of the inverse's.
-    With ``deflate`` the supplied near-kernel direction is projected off
-    the start vector and every new Lanczos vector, so each is orthogonal
-    to it and "min" is the smallest nonzero eigenvalue.  The Lanczos run
-    has a fixed relative tolerance (1e-6), step cap (600) and start vector
-    (seed 0); it raises EigNonConvergence at the cap.
+    Factors A + delta*I once by sparse LU and runs :func:`_lanczos` on its
+    solve, passing ``project`` on; the bottom of A's spectrum becomes the
+    well-separated top of the inverse's.  With delta > 0 a singular A is
+    never factorized.  Returns 1/mu - delta, mu the top Ritz value, and
+    raises EigNonConvergence if mu <= 0.
     """
-    A = _as_csr(A)
     n = A.shape[0]
-
-    khat = project = None
-    if deflate is not None:
-        khat, project = _deflation_projector(deflate)
-
-    if which == "max":
-        return _lanczos(lambda v: A @ v, n, project=project)
-
-    if which != "min":
-        raise ValueError("which must be 'max' or 'min'")
-
-    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
-    if norm_inf == 0.0:
-        return 0.0
-    delta = 1e-13 * norm_inf
-    if khat is not None:
-        delta = max(delta, 4.0 * _norm(A @ khat))
     # A + delta*I is positive definite (or semidefinite plus the shift), so
     # diagonal pivots suffice and a symmetric minimum-degree order keeps
     # the fill of both factors low.
     lu = spla.splu((A + delta * sp.identity(n, format="csr")).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
-
     mu = _lanczos(lu.solve, n, project=project)
     if mu <= 0.0:
         raise EigNonConvergence(
             "inverse operator returned a non-positive Ritz value")
     return 1.0 / mu - delta
+
+
+def eig_extreme(A, which: str = "max") -> float:
+    """Extreme eigenvalue estimate by Lanczos.
+
+    which="max" runs Lanczos on A itself.  which="min" runs it on the
+    inverse of A + delta*I, delta = 1e-13 |A|_inf (:func:`_shift_invert_min`),
+    and returns 0.0 for a zero matrix.  The Lanczos run has a fixed relative
+    tolerance (1e-6), step cap (600) and start vector (seed 0); it raises
+    EigNonConvergence at the cap.
+    """
+    A = _as_csr(A)
+    if which == "max":
+        return _lanczos(lambda v: A @ v, A.shape[0])
+    if which != "min":
+        raise ValueError("which must be 'max' or 'min'")
+    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
+    if norm_inf == 0.0:
+        return 0.0
+    return _shift_invert_min(A, 1e-13 * norm_inf)
 
 
 def _cond_estimate(lam_max: float, lam_min: float) -> CondEstimate:
@@ -525,19 +508,32 @@ def _cond_estimate(lam_max: float, lam_min: float) -> CondEstimate:
 def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     """lambda_max / lambda_2 with the one-dimensional kernel deflated.
 
-    ``kernel`` must actually be a kernel vector: |A k| <= 1e-8 lambda_max |k|
-    is enforced.  An estimate with lambda_2 <= 0 reports cond = inf.
+    The normalized kernel k is projected off every Lanczos vector, and
+    lambda_2 comes from :func:`_shift_invert_min` with delta =
+    max(1e-13 |A|_inf, 4 |A k|).  ``kernel`` must actually be a kernel
+    vector: |A k| <= 1e-8 lambda_max is enforced.  An estimate with
+    lambda_2 <= 0 reports cond = inf.
     """
     A = _as_csr(A)
-    khat, _ = _deflation_projector(kernel)
-    lam_max = eig_extreme(A, "max", deflate=kernel)
+    khat = np.asarray(kernel, dtype=float)
+    nk = _norm(khat)
+    if nk == 0.0:
+        raise ValueError("kernel vector is zero")
+    khat = khat / nk
+
+    def project(w):
+        return w - _dot(khat, w) * khat
+
+    lam_max = _lanczos(lambda v: A @ v, A.shape[0], project=project)
     resid = _norm(A @ khat)
     if resid > 1e-8 * abs(lam_max):
         raise ValueError(
             f"supplied vector is not in the kernel: |A k| = {resid:.3e} "
             f"> 1e-8 * lambda_max = {1e-8 * abs(lam_max):.3e}"
         )
-    lam2 = eig_extreme(A, "min", deflate=kernel)
+    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
+    lam2 = 0.0 if norm_inf == 0.0 else _shift_invert_min(
+        A, max(1e-13 * norm_inf, 4.0 * resid), project)
     return _cond_estimate(lam_max, lam2)
 
 

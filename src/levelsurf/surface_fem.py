@@ -28,8 +28,6 @@ from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
 __all__ = [
-    "TRI_QP_BARY",
-    "TRI_QP_WEIGHTS",
     "interpolate",
     "l2_error",
     "h1_semi_error",

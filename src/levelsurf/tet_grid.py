@@ -29,8 +29,6 @@ __all__ = [
     "TetMesh",
     "build_uniform_mesh",
     "tet_volumes",
-    "corner_cross_dot",
-    "norm3",
     "shape_regularity",
     "min_angle_theta",
 ]

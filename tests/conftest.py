@@ -4,6 +4,7 @@ import pytest
 from levelsurf import (
     BoxDomain,
     SphereLevelSet,
+    SurfaceFunction,
     build_uniform_mesh,
     extract_surface,
     interpolate_nodal,
@@ -43,6 +44,24 @@ def meshgrid_nodes(mesh):
     zs = lo[2] + mesh.h * np.arange(nz + 1)
     Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
     return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+
+def coordinate_function(axis=2):
+    """u(x) = x_axis, with its ambient gradient."""
+    e = np.zeros(3)
+    e[axis] = 1.0
+    return SurfaceFunction(
+        value=lambda p: np.asarray(p, dtype=float)[..., axis],
+        gradient=lambda p: np.broadcast_to(e, np.asarray(p).shape).copy(),
+    )
+
+
+def constant_function(c=1.0):
+    """u(x) = c, with its zero gradient."""
+    return SurfaceFunction(
+        value=lambda p: np.full(np.asarray(p).shape[:-1], float(c)),
+        gradient=lambda p: np.zeros(np.asarray(p).shape),
+    )
 
 
 def vertex_support_areas(surface):

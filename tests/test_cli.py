@@ -81,6 +81,21 @@ def test_unknown_export_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["conditioning", "--h", "0.5", "--zc-list", "0", "--export", "obj,vtk"],
+    ["refmatrix", "--export", "obj"],
+], ids=["conditioning", "refmatrix"])
+def test_matrix_commands_export_only_mm(argv, tmp_path, capsys):
+    # these commands have no surface file to write: obj and vtk are refused
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unknown export format 'obj' (choose from mm)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["extract", "--h", "0.5", "--zc", "-1e-3"], "zc", -0.001),
     (["massbound", "--h-list", "0.5,0.25", "--zc", "-5e-4"], "zc", -0.0005),
@@ -445,11 +460,12 @@ def test_commands_build_no_mesh_arrays(argv, tmp_path, monkeypatch):
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # BLAS splits a long dot product over its threads, and the partial sums
     # add up in an order set by the thread count.  n = 14 400 (refmatrix)
-    # and about 14 300 (the h = 1/16 sphere) are above OpenBLAS's threading
-    # threshold.
+    # and about 14 300 (the h = 1/16 sphere, also the finest massbound level
+    # with its Jacobi-PCG solves) are above OpenBLAS's threading threshold.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     commands = [["refmatrix"],
-                ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0"]]
+                ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0"],
+                ["massbound", "--h-list", "0.25,0.125,0.0625"]]
     outputs = {}
     for threads in ("1", "3"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

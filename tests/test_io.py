@@ -229,6 +229,32 @@ REPORT_SHA256 = {
 }
 
 
+# SHA-256 of the solver reports: the Lanczos and PCG outputs of
+# `conditioning` and `massbound`, and the PCG table of `refmatrix`.
+SOLVER_REPORT_SHA256 = {
+    "conditioning.csv": (
+        ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0.0005,0",
+         "--seed", "0"],
+        "c4b618d77d1a5001923a61a2214d057ad337dffff44599209e1980651e0ad319"),
+    "massbound.csv": (
+        ["massbound", "--h-list", "0.5,0.25,0.125"],
+        "2131d5ab8dd1264f050fc011e6cf225f86c2bec4f4d11c63eb6d3401c5425c82"),
+    "refmatrix.csv": (
+        ["refmatrix"],
+        "cf01031c54d60be31bd56331600973e570068b3884b7b2db94c320951b0a64fb"),
+    "refmatrix.json": (
+        ["refmatrix"],
+        "81f9f6130845778f1feb08088d9b6402080dfe18f11e7baef5c139f061de33b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_REPORT_SHA256))
+def test_solver_reports_pinned(name, tmp_path):
+    argv, sha = SOLVER_REPORT_SHA256[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
 @pytest.mark.parametrize("zc", sorted(REPORT_SHA256))
 def test_reports_pinned(zc, tmp_path):
     assert main(["convergence", "--h-list", "0.5,0.25,0.125", "--zc", repr(zc),

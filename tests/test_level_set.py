@@ -8,8 +8,6 @@ from levelsurf.level_set import (
     NodalField,
     SphereLevelSet,
     SurfaceFunction,
-    constant_function,
-    coordinate_function,
     interpolate_nodal,
     product_arctan_function,
     snap_small_values,
@@ -144,10 +142,11 @@ def test_nodal_field_validation():
 
 
 def test_snap_positive_convention():
-    field = cube_field([0.0, 1.0, -1.0, 1e-30, 0.5, -0.5, 2.0, -2.0])
-    snapped = snap_small_values(field, eps_snap=1e-8)
+    # max|phi| = 100 gives eps = 1e-8
+    field = cube_field([0.0, 1.0, -1.0, 1e-30, 0.5, -0.5, 100.0, -2.0])
+    snapped = snap_small_values(field)
     npt.assert_array_equal(snapped.values,
-                           [1e-8, 1.0, -1.0, 1e-8, 0.5, -0.5, 2.0, -2.0])
+                           [1e-8, 1.0, -1.0, 1e-8, 0.5, -0.5, 100.0, -2.0])
     # Original field untouched.
     assert field.values[0] == 0.0
 
@@ -160,15 +159,16 @@ def test_snap_default_eps():
 
 
 def test_snap_negative_small_to_positive():
-    field = cube_field([-5e-11, 2.0, 5e-3, 1, 1, 1, 1, 1])
-    snapped = snap_small_values(field, eps_snap=1e-10)
-    npt.assert_array_equal(snapped.values, [1e-10, 2.0, 5e-3, 1, 1, 1, 1, 1])
+    # max|phi| = 1 gives eps = 1e-10
+    field = cube_field([-5e-11, 1.0, 5e-3, 1, 1, 1, 1, 1])
+    snapped = snap_small_values(field)
+    npt.assert_array_equal(snapped.values, [1e-10, 1.0, 5e-3, 1, 1, 1, 1, 1])
 
 
 def test_snap_idempotent():
     field = cube_field([0.0, 1.0, -1e-12, 1, 1, 1, 1, 1])
-    once = snap_small_values(field, eps_snap=1e-10)
-    twice = snap_small_values(once, eps_snap=1e-10)
+    once = snap_small_values(field)
+    twice = snap_small_values(once)
     npt.assert_array_equal(once.values, twice.values)
 
 
@@ -220,15 +220,6 @@ def test_product_arctan_gradient_fd():
         e[ax] = eps
         fd = (u.value(x + e) - u.value(x - e)) / (2 * eps)
         npt.assert_allclose(g[:, ax], fd, rtol=1e-7, atol=1e-10)
-
-
-def test_coordinate_and_constant_functions():
-    pts = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])
-    npt.assert_array_equal(coordinate_function(2).value(pts), [3.0, 0.5])
-    npt.assert_array_equal(coordinate_function(0).value(pts), [1.0, 0.0])
-    npt.assert_array_equal(constant_function(2.5).value(pts), [2.5, 2.5])
-    g = constant_function().gradient(pts)
-    npt.assert_array_equal(g, np.zeros((2, 3)))
 
 
 def test_analytic_level_set_affine():

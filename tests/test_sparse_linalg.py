@@ -532,12 +532,6 @@ def test_eig_extreme_max_past_loss_of_orthogonality(monkeypatch, lams):
     assert np.abs(V @ V.T - np.eye(len(V))).max() > 0.5
 
 
-def test_eig_extreme_deflated_min():
-    A = sp.diags([np.array([0.0, 1.0, 3.0])], [0], format="csr")
-    kernel = np.array([1.0, 0.0, 0.0])
-    npt.assert_allclose(eig_extreme(A, "min", deflate=kernel), 1.0, rtol=1e-6)
-
-
 def test_effective_cond_small_diagonal():
     A = sp.diags([np.array([0.0, 1.0, 3.0])], [0], format="csr")
     est = effective_cond(A, np.array([1.0, 0.0, 0.0]))
@@ -596,6 +590,14 @@ def test_effective_cond_rejects_non_kernel():
     A = sp.diags([np.array([0.0, 1.0, 3.0])], [0], format="csr")
     with pytest.raises(ValueError, match="not in the kernel"):
         effective_cond(A, np.array([0.0, 1.0, 0.0]))
+
+
+def test_zero_matrix_factors_nothing():
+    # a zero matrix has no shift to regularize it, so neither call factors
+    Z = sp.csr_matrix((3, 3))
+    assert eig_extreme(Z, "min") == 0.0
+    est = effective_cond(Z, np.ones(3))
+    assert (est.lambda_max, est.lambda_min, est.cond) == (0.0, 0.0, np.inf)
 
 
 def test_effective_cond_rejects_zero_vector():

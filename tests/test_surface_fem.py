@@ -6,8 +6,6 @@ import sympy
 
 from levelsurf.level_set import (
     SphereLevelSet,
-    constant_function,
-    coordinate_function,
     product_arctan_function,
 )
 from levelsurf import sparse_linalg, surface_fem
@@ -27,7 +25,13 @@ from levelsurf.surface_fem import (
 )
 from levelsurf.level_set import SurfaceFunction
 
-from conftest import dirichlet_energy, sphere_surface, vertex_support_areas
+from conftest import (
+    constant_function,
+    coordinate_function,
+    dirichlet_energy,
+    sphere_surface,
+    vertex_support_areas,
+)
 
 MASS_BOUND = 2.0 * (2.0 + np.sqrt(2.0))  # 6.8284...
 
