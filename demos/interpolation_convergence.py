@@ -4,7 +4,8 @@ The smooth test function u = (1/pi) x1 x2 atan(2 x3) is interpolated at
 surface vertices (lifted to the exact sphere); errors against the exact
 function are integrated with a degree-4 quadrature rule.  Despite the
 arbitrarily thin triangles the errors converge at the optimal rates:
-L2 ~ h^2 and the H1 seminorm ~ h.
+L2 ~ h^2 and the H1 seminorm ~ h.  The finest-pair rates must lie in the
+bands that ``surf convergence`` checks.
 """
 import numpy as np
 
@@ -20,6 +21,7 @@ from levelsurf import (
     product_arctan_function,
     snap_small_values,
 )
+from levelsurf.cli import H1_ORDER_BAND, L2_ORDER_BAND
 
 box = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
@@ -48,3 +50,5 @@ for j, (h, n, l2, h1) in enumerate(rows):
         print(f"{h:8.4f} {n:7d} {l2:12.4e} {r2:6.3f} {h1:12.4e} {r1:6.3f}")
 print("---------------------------------------------------------------")
 print("N quadruples per halving; L2 rate -> 2, H1 rate -> 1")
+assert L2_ORDER_BAND[0] <= r2 <= L2_ORDER_BAND[1], f"L2 rate {r2:.3f}"
+assert H1_ORDER_BAND[0] <= r1 <= H1_ORDER_BAND[1], f"H1 rate {r1:.3f}"

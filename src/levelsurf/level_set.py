@@ -138,8 +138,8 @@ class SurfaceFunction:
 
     ``value`` maps (..., 3) points to (...) values and must be pointwise:
     the error norms evaluate it block by block.  ``gradient``, if given,
-    returns the ambient R^3 gradient (..., 3); it is only used by tests and
-    cross-checks — error norms use in-plane finite differences.
+    returns the ambient R^3 gradient (..., 3), also pointwise; the H1 error
+    needs it, interpolation and the L2 error do not.
     """
 
     value: Callable[[np.ndarray], np.ndarray]

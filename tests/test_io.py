@@ -219,11 +219,11 @@ EXPORT_SHA256 = {
 # 0.5,0.25,0.125` and of `quality.json` from `surf extract --h 0.125`.
 REPORT_SHA256 = {
     0.03: {
-        "convergence.csv": "a8e5c56bc54fdd9573bd956452cc771f49716be513b8ed4971d46ab1b18dfe7f",
+        "convergence.csv": "eceb3a6e6cc7a3bc761b734fcfd3a9553abdcfb070dd976085020c9435ea701a",
         "quality.json": "2343bfe804909ce6b8ca7c218a4b38cd37f6707c3473e18e2d3b3c588e735949",
     },
     0.0005: {
-        "convergence.csv": "5d23af9cebde0ec85f42e50a96b6dd5e0579f7acfa910972862b5ba7329ba138",
+        "convergence.csv": "4d00eadb59c2b3eec48d731d0c7ae6b58e7091dd369734969813b9a534f6e618",
         "quality.json": "f9ba2fdb55b0b6b496b9a1cdbd3b8d55787f7425a2b005f0aa204057fd6379b6",
     },
 }

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import sympy
 
 from levelsurf.level_set import (
+    AnalyticLevelSet,
     SphereLevelSet,
     product_arctan_function,
 )
@@ -395,20 +396,56 @@ def test_constant_interpolated_exactly(sphere_h4):
 def test_affine_reproduced_on_flat_patch():
     surf = flat_patch(4)
     a = np.array([0.7, -0.3, 0.0])
-    u = SurfaceFunction(value=lambda p: np.asarray(p) @ a + 0.2)
+    u = SurfaceFunction(value=lambda p: np.asarray(p) @ a + 0.2,
+                        gradient=lambda p: np.broadcast_to(a, np.shape(p)))
     coeffs = interpolate(u, None, surf)
     assert l2_error(u, None, surf, coeffs) <= 1e-13
-    assert h1_semi_error(u, None, surf, coeffs) <= 1e-8
+    assert h1_semi_error(u, None, surf, coeffs) <= 1e-13
 
 
-def test_h1_fd_step_robust(sphere_h4, monkeypatch):
+def test_h1_needs_gradient(sphere_h4):
     spec, surf = sphere_h4
-    u = product_arctan_function()
+    u = SurfaceFunction(value=product_arctan_function().value)
     coeffs = interpolate(u, spec, surf)
-    e1 = h1_semi_error(u, spec, surf, coeffs)
-    monkeypatch.setattr(surface_fem, "_FD_STEP_REL", 1e-5)
-    e2 = h1_semi_error(u, spec, surf, coeffs)
-    npt.assert_allclose(e1, e2, rtol=1e-6)
+    with pytest.raises(ValueError, match="gradient"):
+        h1_semi_error(u, spec, surf, coeffs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extension_gradient_matches_fourth_order_difference(seed):
+    # Points in the shell 0.5 r <= |x - c| <= 1.5 r around a shifted,
+    # resized sphere.  The fourth-order difference quotient of
+    # u(closest point) along each axis with step 2.5e-4 is accurate to
+    # 1.5e-12 there (3.7e-10 at step 1e-3, 16 times less per halving).
+    rng = np.random.default_rng(seed)
+    spec = SphereLevelSet(center=(0.3, -0.2, 0.1), radius=0.8)
+    u = product_arctan_function()
+    d = rng.standard_normal((200, 3))
+    d *= (spec.radius * rng.uniform(0.5, 1.5, 200)
+          / np.linalg.norm(d, axis=1))[:, None]
+    x = np.asarray(spec.center) + d
+
+    def ext(pts):
+        return u.value(spec.closest_point(pts))
+
+    step = 2.5e-4
+    fd = np.empty_like(x)
+    for k, e in enumerate(step * np.eye(3)):
+        fd[:, k] = (8.0 * (ext(x + e) - ext(x - e))
+                    - (ext(x + 2.0 * e) - ext(x - 2.0 * e))) / (12.0 * step)
+    got = surface_fem._extension_gradients(u, spec, x)
+    assert got.shape == x.shape
+    npt.assert_allclose(got, fd, rtol=0.0, atol=1e-11)
+    # the extension is constant along the normal
+    yh = spec.normal(x)
+    assert np.abs(np.einsum("ij,ij->i", got, yh)).max() <= 1e-15
+
+
+def test_extension_gradient_needs_a_sphere():
+    spec = AnalyticLevelSet(fn=lambda p: p[..., 2])
+    with pytest.raises(ValueError, match="closest-point"):
+        surface_fem._extension_gradients(product_arctan_function(), spec,
+                                         np.ones((2, 3)))
 
 
 def _h1_error_chain_rule(u, sphere, surface, coeffs):
@@ -450,25 +487,24 @@ def test_h1_matches_chain_rule_oracle(sphere_h4):
     spec, surf = sphere_h4
     u = product_arctan_function()
     coeffs = interpolate(u, spec, surf)
-    fd = h1_semi_error(u, spec, surf, coeffs)
+    got = h1_semi_error(u, spec, surf, coeffs)
     analytic = _h1_error_chain_rule(u, spec, surf, coeffs)
-    npt.assert_allclose(fd, analytic, rtol=1e-6)
+    npt.assert_allclose(got, analytic, rtol=1e-12)
 
 
-def _whole_surface_errors(u, spec, surface, coeffs, fd_step_rel=1e-6):
+def _whole_surface_errors(u, spec, surface, coeffs):
     """(L2, H1-seminorm) errors with the quadrature over all triangles at once.
 
     The oracle for the blocked quadrature: same arithmetic per triangle,
     same summation of the per-triangle array.
     """
-    def ext(pts):
-        return u.value(spec.closest_point(pts.reshape(-1, 3))).reshape(pts.shape[:2])
-
     p, n, two_area = surface.tri_geometry(nondegenerate=True)
     c = coeffs[surface.triangles]
     qp = np.einsum("qk,fkj->fqj", TRI_QP_BARY, p)
+    x = qp.reshape(-1, 3)
+    ue = u.value(spec.closest_point(x)).reshape(qp.shape[:2])
     vh = c @ TRI_QP_BARY.T
-    l2_tri = ((ext(qp) - vh) ** 2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
+    l2_tri = ((ue - vh) ** 2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
 
     nh = n / two_area[:, None]
     grad = (
@@ -476,24 +512,13 @@ def _whole_surface_errors(u, spec, surface, coeffs, fd_step_rel=1e-6):
         + c[:, [1]] * np.cross(nh, p[:, 0] - p[:, 2])
         + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
     ) / two_area[:, None]
-    b1 = p[:, 1] - p[:, 0]
-    b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 = np.cross(nh, b1)
-    gv1 = np.einsum("ij,ij->i", grad, b1)
-    gv2 = np.einsum("ij,ij->i", grad, b2)
-    edges = np.stack(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
-    )
-    diam = np.linalg.norm(edges, axis=2).max(axis=1)
-    step = (fd_step_rel * diam)[:, None, None]
-    du1 = (ext(qp + step * b1[:, None, :]) - ext(qp - step * b1[:, None, :])) / (
-        2.0 * step[:, :, 0]
-    )
-    du2 = (ext(qp + step * b2[:, None, :]) - ext(qp - step * b2[:, None, :])) / (
-        2.0 * step[:, :, 0]
-    )
-    diff2 = (du1 - gv1[:, None]) ** 2 + (du2 - gv2[:, None]) ** 2
-    h1_tri = (diff2 @ TRI_QP_WEIGHTS) * (0.5 * two_area)
+    g = u.gradient(spec.closest_point(x))
+    yh = spec.normal(x)
+    g = g - yh * np.einsum("ij,ij->i", g, yh)[:, None]
+    g = (spec.radius / np.linalg.norm(x - spec.center, axis=1))[:, None] * g
+    g = g.reshape(qp.shape)
+    diff = g - nh[:, None] * np.einsum("fqj,fj->fq", g, nh)[..., None] - grad[:, None]
+    h1_tri = (np.einsum("fqj,fqj->fq", diff, diff) @ TRI_QP_WEIGHTS) * (0.5 * two_area)
     return float(np.sqrt(l2_tri.sum())), float(np.sqrt(h1_tri.sum()))
 
 
