@@ -33,6 +33,7 @@ for zc in [0.03, 0.02, 0.008, 0.002, 0.0005, 0.00025, 0.00005, 0.0]:
     print(f"{zc:10.5f} {rep.phi_max_deg:8.3f}° {rep.phi_min_deg:10.2e}° "
           f"{rep.count_below_1deg:9d} {rep.max_dist:10.2e} "
           f"{rep.max_normal_dev:9.2e}")
+    assert rep.phi_max_deg < 160.0, f"phi_max {rep.phi_max_deg:.3f}° at z_c = {zc}"
 
 print(f"\nmax angle stays below 160° for every z_c; "
       f"max_dist stays ~ {0.36 * H * H:.1e} (= 0.36 h^2)")

@@ -16,6 +16,7 @@ from levelsurf import (
     interpolate_nodal,
     snap_small_values,
 )
+from levelsurf.cli import H1_ORDER_BAND, L2_ORDER_BAND
 
 box = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
@@ -34,3 +35,7 @@ for h, dist, ndev in res.rows:
           f"{ndev / h:7.3f}")
 print(f"\nlog-log slopes: distance {res.slope_dist:.3f} (expect ~2), "
       f"normals {res.slope_normal:.3f} (expect ~1)")
+assert L2_ORDER_BAND[0] <= res.slope_dist <= L2_ORDER_BAND[1], \
+    f"distance slope {res.slope_dist:.3f}"
+assert H1_ORDER_BAND[0] <= res.slope_normal <= H1_ORDER_BAND[1], \
+    f"normal slope {res.slope_normal:.3f}"

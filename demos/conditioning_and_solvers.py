@@ -27,6 +27,7 @@ from levelsurf import (
     scaled_mass_cond,
     snap_small_values,
 )
+from levelsurf.cli import PCG_ITER_BAND
 
 H = 0.125
 box = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
@@ -46,8 +47,11 @@ for zc in [0.03, 0.002, 0.00005]:
     conds[zc] = cond_as
     print(f"{zc:10.5f} {surf.n_vertices:6d} {cond_ms:9.4f} "
           f"{cond_as:14.4e}")
-print(f"\nstiffness blow-up factor {conds[0.00005] / conds[0.03]:.0f}x; "
+    assert cond_ms <= 4.0, f"cond(Ms) {cond_ms:.4f} at z_c = {zc}"
+blow_up = conds[0.00005] / conds[0.03]
+print(f"\nstiffness blow-up factor {blow_up:.0f}x; "
       f"mass conditioning does not move")
+assert blow_up >= 100.0, f"stiffness blow-up only {blow_up:.0f}x"
 
 # PCG on the reference matrix: 14400 unknowns, 7-point block stencil.
 A = build_reference_matrix()
@@ -56,8 +60,13 @@ v = rng.standard_normal(A.shape[0])
 b = A @ (v / np.linalg.norm(v))
 print(f"\nreference matrix {A.shape[0]} x {A.shape[1]}, nnz {A.nnz}")
 print(f"{'preconditioner':>15} {'iterations':>11} {'rel residual':>13}")
+iters = {}
 for precond in ["none", "jacobi", "ilu0", "milu0"]:
     x, stats = pcg(A, b, tol=1e-8, precond=precond)
+    iters[precond] = stats.iterations
     print(f"{precond:>15} {stats.iterations:11d} {stats.relres:13.2e}")
 print("\nrow-sum-compensated ILU(0) (milu0) roughly halves the plain "
       "ILU(0) count")
+assert PCG_ITER_BAND[0] <= iters["milu0"] <= PCG_ITER_BAND[1], \
+    f"milu0 took {iters['milu0']} iterations"
+assert iters["milu0"] < iters["ilu0"], f"iterations {iters}"

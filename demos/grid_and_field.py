@@ -21,20 +21,24 @@ from levelsurf import (
 )
 
 box = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
+KUHN_ALPHA = np.sqrt(3.0) * (np.sqrt(2.0) + 1.0)
 
 print(f"{'h':>8} {'nodes':>8} {'tets':>8} {'vol err':>10} "
       f"{'alpha':>8} {'theta_min':>10}")
 for h in [0.5, 0.25, 0.125]:
     mesh = build_uniform_mesh(box, h)
     vol_err = abs(tet_volumes(mesh).sum() - box.volume) / box.volume
-    theta = np.degrees(min_angle_theta(mesh))
+    alpha, theta = shape_regularity(mesh), np.degrees(min_angle_theta(mesh))
     print(f"{h:8.4f} {mesh.n_nodes:8d} {mesh.n_tets:8d} {vol_err:10.2e} "
-          f"{shape_regularity(mesh):8.4f} {theta:9.4f}°")
+          f"{alpha:8.4f} {theta:9.4f}°")
+    # alpha = (enclosing-ball diameter) / (inscribed-ball diameter) is the
+    # same for every Kuhn tet: sqrt(3) (sqrt(2) + 1); the regular
+    # tetrahedron would give 3.
+    assert vol_err < 1e-14, f"volume error {vol_err:.2e} at h = {h}"
+    assert np.isclose(alpha, KUHN_ALPHA, rtol=1e-12, atol=0), f"alpha {alpha!r}"
+    assert np.isclose(theta, 30.0, rtol=1e-12, atol=0), f"theta {theta!r}°"
 
-# shape regularity alpha = (enclosing-ball diameter) / (inscribed-ball
-# diameter) is the same for every Kuhn tet: sqrt(3) (sqrt(2) + 1); the
-# regular tetrahedron would give 3.
-print(f"\nKuhn alpha exact: {np.sqrt(3.0) * (np.sqrt(2.0) + 1.0):.10f}")
+print(f"\nKuhn alpha exact: {KUHN_ALPHA:.10f}")
 
 # Sample the unit sphere on the finest grid and snap exact zeros.
 mesh = build_uniform_mesh(box, 0.125)
@@ -42,7 +46,9 @@ spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
 field = interpolate_nodal(spec, mesh)
 n_zero = int(np.count_nonzero(field.values == 0.0))
 snapped = snap_small_values(field)
+n_zero_after = int(np.count_nonzero(snapped.values == 0.0))
 print(f"\nnodal field: {mesh.n_nodes} values, {n_zero} exact zeros before "
-      f"snapping, {int(np.count_nonzero(snapped.values == 0.0))} after")
+      f"snapping, {n_zero_after} after")
+assert n_zero_after == 0, f"{n_zero_after} exact zeros after snapping"
 print(f"sign split: {int(np.count_nonzero(snapped.values < 0))} negative "
       f"(inside), {int(np.count_nonzero(snapped.values > 0))} positive")

@@ -27,8 +27,6 @@ __all__ = [
     "product_arctan_function",
 ]
 
-# Nodes per sampling chunk in interpolate_nodal (1.5 MiB of coordinates).
-_SAMPLE_CHUNK = 1 << 16
 # snap_small_values snaps |v| below this fraction of max|phi|.
 _SNAP_REL = 1e-10
 
@@ -82,8 +80,9 @@ class AnalyticLevelSet:
     """Level set given by a callable phi; distance/normal handles optional.
 
     ``fn`` maps (..., 3) point arrays to (...) values and must be
-    pointwise: :func:`interpolate_nodal` samples the nodes in chunks, so
-    each call sees only part of the grid.  If ``distance`` and
+    pointwise: :func:`interpolate_nodal` samples a lattice one z-plane per
+    call, in a buffer it reuses, so each call sees only part of the grid
+    and must not keep its argument.  If ``distance`` and
     ``normal`` are provided, geometric-assumption checks become available;
     closest-point projection is not supported for generic level sets.
     """
@@ -149,19 +148,13 @@ class SurfaceFunction:
 def interpolate_nodal(spec, mesh: TetMesh) -> NodalField:
     """Evaluate the level-set spec at all mesh nodes.
 
-    Nodes are sampled in chunks of ``_SAMPLE_CHUNK`` consecutive ids (the
-    last one shorter), each passed to ``spec.evaluate`` as an (m, 3)
-    array, so no (N, 3) coordinate array is ever built; ``spec.evaluate``
-    must therefore be pointwise.  On a lattice the chunk coordinates are
-    sliced from periodic copies of the x and y axes and the z values
-    repeated, with no per-node integer division.
+    ``spec.evaluate`` runs through :meth:`TetMesh.sample`: once per z-plane
+    of (nx + 1)(ny + 1) nodes on a lattice, so no (N, 3) coordinate array
+    is ever built, and once on an explicit mesh's nodes.  It must be
+    pointwise, and ValueError is raised unless each call returns one value
+    per point.
     """
-    values = np.empty(mesh.n_nodes)
-    start = 0
-    for points in mesh._node_chunks(_SAMPLE_CHUNK):
-        values[start:start + len(points)] = spec.evaluate(points)
-        start += len(points)
-    return NodalField(mesh=mesh, values=values)
+    return NodalField(mesh=mesh, values=mesh.sample(spec.evaluate))
 
 
 def snap_small_values(field: NodalField) -> NodalField:

@@ -76,7 +76,14 @@ class SolveStats:
 class CondEstimate:
     lambda_max: float
     lambda_min: float
-    cond: float
+
+    @property
+    def cond(self) -> float:
+        """lambda_max / lambda_min; inf when lambda_min <= 0 or underflows it."""
+        lo, hi = self.lambda_min, self.lambda_max
+        if lo <= 0.0 or lo < abs(hi) * 1e-300:
+            return float("inf")
+        return float(hi / lo)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -498,13 +505,6 @@ def eig_extreme(A, which: str = "max") -> float:
     return _shift_invert_min(A, 1e-13 * norm_inf)
 
 
-def _cond_estimate(lam_max: float, lam_min: float) -> CondEstimate:
-    """lambda_max / lambda_min; inf when lambda_min <= 0 or underflows it."""
-    bad = lam_min <= 0.0 or lam_min < abs(lam_max) * 1e-300
-    cond = float("inf") if bad else float(lam_max / lam_min)
-    return CondEstimate(float(lam_max), float(lam_min), cond)
-
-
 def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     """lambda_max / lambda_2 with the one-dimensional kernel deflated.
 
@@ -534,7 +534,7 @@ def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     norm_inf = float(np.max(np.abs(A).sum(axis=1)))
     lam2 = 0.0 if norm_inf == 0.0 else _shift_invert_min(
         A, max(1e-13 * norm_inf, 4.0 * resid), project)
-    return _cond_estimate(lam_max, lam2)
+    return CondEstimate(float(lam_max), float(lam2))
 
 
 # ---------------------------------------------------------------------------

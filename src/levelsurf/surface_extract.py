@@ -145,32 +145,6 @@ class SurfaceMesh:
         return int(ncomp)
 
 
-def _cube_reduce(op, corner_vals: np.ndarray) -> np.ndarray:
-    """Reduce a (nz+1, ny+1, nx+1) node array over the 8 corners of each cube."""
-    a = op(corner_vals[:, :, :-1], corner_vals[:, :, 1:])
-    a = op(a[:, :-1], a[:, 1:])
-    return op(a[:-1], a[1:])
-
-
-def _candidate_tets(mesh: TetMesh, vals: np.ndarray):
-    """Ids and node ids, (k,) and (k, 4), of the tets the zero set may cut.
-
-    On a Kuhn lattice these are the 6 tets of every cube whose 8 corners
-    are neither all positive nor all negative (a narrow band around the
-    surface), in increasing id order; ``tets`` is never built.  An explicit
-    mesh offers all of its tets.
-    """
-    if mesh.is_kuhn_lattice:
-        nx, ny, nz = mesh.n_cells
-        pos = (vals > 0.0).reshape(nz + 1, ny + 1, nx + 1)
-        mixed = (_cube_reduce(np.logical_or, pos)
-                 & ~_cube_reduce(np.logical_and, pos))
-        ids = (6 * np.flatnonzero(mixed)[:, None] + np.arange(6)).ravel()
-    else:
-        ids = np.arange(mesh.n_tets, dtype=np.int64)
-    return ids, mesh.tet_nodes(ids)
-
-
 # Row c: the cut edges of sign code c as local node pairs, in cyclic order
 # and oriented for a positive tet.  A lone sign pairs with the other three
 # nodes in ascending order, and the triangle repeats its last corner; a 2+2
@@ -227,9 +201,10 @@ def split_quad(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
 def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
     """Extract the watertight oriented triangulation of {phi_h = 0}.
 
-    Every tet with a strict sign pattern is cut by the table; a quad is
-    split along the diagonal at its largest inner angle.  Cut vertices are
-    deduplicated across tets by their global grid-edge key.  Kuhn lattice
+    Of the tets :meth:`TetMesh.band_tets` offers, every one with a strict
+    sign pattern is cut by the table; a quad is split along the diagonal
+    at its largest inner angle.  Cut vertices are deduplicated across
+    tets by their global grid-edge key.  Kuhn lattice
     tets are all positively oriented; on an explicit mesh the sign of each
     cut tet's triple product picks row c or 15 - c.  Triangles come one
     (or two quad halves) per cut tet in increasing tet id, vertices by
@@ -245,7 +220,7 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
             "field has exact nodal zeros; apply snap_small_values first"
         )
 
-    tet_ids, tet_nodes = _candidate_tets(mesh, vals)
+    tet_ids, tet_nodes = mesh.band_tets(vals > 0.0)
     code = (vals[tet_nodes] > 0.0) @ np.array([1, 2, 4, 8])
     cut = (code > 0) & (code < 15)
     tet_ids, tet_nodes, code = tet_ids[cut], tet_nodes[cut], code[cut]

@@ -266,7 +266,7 @@ def scaled_mass_cond(M: sp.spmatrix) -> CondEstimate:
     # h = 2, roundoff can put top a few ulps above 3/2 and cond above 4;
     # Wathen's bound is the floor.
     lam_min = max(2.0 - top, 0.5)
-    return CondEstimate(2.0, lam_min, 2.0 / lam_min)
+    return CondEstimate(2.0, lam_min)
 
 
 def mass_cond(M: sp.spmatrix) -> CondEstimate:
@@ -298,4 +298,4 @@ def mass_cond(M: sp.spmatrix) -> CondEstimate:
         return x
 
     lam_min = 1.0 / _lanczos(solve, M.shape[0])
-    return CondEstimate(lam_max, lam_min, lam_max / lam_min)
+    return CondEstimate(lam_max, lam_min)

@@ -6,8 +6,8 @@ conforming by construction.  Nodes are indexed lexicographically with x
 running fastest.  The module also provides the two shape metrics used for
 stability statements: the enclosing/inscribed ball-diameter ratio and the
 minimum angle over face angles and edge-to-opposite-face angles.  A lattice
-evaluates both on the six Kuhn tets of one cube; only ``tet_coords``,
-``face_multiplicities`` and :func:`tet_volumes` build its ``tets``.  Every
+evaluates both, and :func:`tet_volumes`, on the six Kuhn tets of one cube;
+only ``tet_coords`` and ``face_multiplicities`` build its ``tets``.  Every
 inner angle of a polygon in the package (tet faces, surface triangles,
 cut quads, the cotangents of the stiffness matrix) comes from one kernel,
 :func:`corner_cross_dot`, and every Euclidean length of a 3-vector (edge
@@ -99,7 +99,9 @@ class TetMesh:
       and ``nodes`` computes the full (N, 3) array anew on each access;
     * tet ``6 * cube + pattern`` is Kuhn tet ``pattern`` of grid cube
       ``cube`` (cubes numbered x fastest, like the nodes), and ``tets`` is
-      only built on first access.
+      only built on first access; :meth:`sample` walks the nodes by
+      z-plane and :meth:`band_tets` the tets by cube, so no other module
+      needs this layout.
 
     Attributes
     ----------
@@ -193,33 +195,47 @@ class TetMesh:
         out[..., 2] = zs[k]
         return out
 
-    def _node_chunks(self, size: int):
-        """Yield the coordinates of nodes 0, 1, ... in chunks of ``size``
-        consecutive ids, each (m, 3) with m = ``size`` except in the last.
+    def sample(self, fn) -> np.ndarray:
+        """Values of ``fn``, (m, 3) points to m values, at the nodes by id.
 
-        A lattice slices each chunk's x and y columns from two periodic
-        arrays, of length ``size`` + (nx + 1) and ``size`` + (nx + 1)(ny + 1),
-        and repeats its z values, so no node id is divided.
+        An explicit mesh passes its nodes in one call.  A lattice lays out
+        the x and y columns of one z-plane once, then per z sets the z
+        column and passes the plane's (nx + 1)(ny + 1) nodes; ``fn`` must
+        not keep this reused buffer.  Raises ValueError unless every call
+        returns one value per point.
         """
-        n = self.n_nodes
         if not self._lattice:
-            for start in range(0, n, size):
-                yield self._nodes[start:start + size]
-            return
-        nx, ny, _ = self.n_cells
+            return _pointwise(fn, self._nodes)
         xs, ys, zs = self._axes
-        row, plane = nx + 1, (nx + 1) * (ny + 1)
-        x_period = np.resize(xs, size + row)
-        y_period = np.resize(np.repeat(ys, row), size + plane)
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            out = np.empty((stop - start, 3))
-            out[:, 0] = x_period[start % row:start % row + len(out)]
-            out[:, 1] = y_period[start % plane:start % plane + len(out)]
-            k0, k1 = start // plane, (stop - 1) // plane + 1
-            ends = np.clip(np.arange(k0, k1 + 1) * plane, start, stop)
-            out[:, 2] = np.repeat(zs[k0:k1], np.diff(ends))
-            yield out
+        plane = np.empty((len(xs) * len(ys), 3))
+        plane[:, 0] = np.tile(xs, len(ys))
+        plane[:, 1] = np.repeat(ys, len(xs))
+        values = np.empty((len(zs), len(plane)))
+        for k, z in enumerate(zs):
+            plane[:, 2] = z
+            values[k] = _pointwise(fn, plane)
+        return values.reshape(-1)
+
+    def band_tets(self, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids, (k,), and node ids, (k, 4), of the tets that a zero set with
+        node signs ``positive`` (one bool per node) may cut, by increasing id.
+
+        On a lattice these are the 6 tets of every cube whose 8 corners are
+        neither all positive nor all negative, a narrow band around the
+        zero set, and ``tets`` is never built.  An explicit mesh returns all
+        of its tets.
+        """
+        if self._lattice:
+            nx, ny, nz = self.n_cells
+            pos = np.asarray(positive, dtype=bool).reshape(nz + 1, ny + 1, nx + 1)
+            # a cube is mixed where a corner's sign differs from corner 0's
+            mixed = np.zeros((nz, ny, nx), dtype=bool)
+            for i, j, k in _CORNER_OFFSETS[1:]:
+                mixed |= pos[k:k + nz, j:j + ny, i:i + nx] != pos[:-1, :-1, :-1]
+            ids = (6 * np.flatnonzero(mixed)[:, None] + np.arange(6)).ravel()
+        else:
+            ids = np.arange(self.n_tets, dtype=np.int64)
+        return ids, self.tet_nodes(ids)
 
     @property
     def n_tets(self) -> int:
@@ -263,6 +279,15 @@ class TetMesh:
         return counts
 
 
+def _pointwise(fn, points: np.ndarray) -> np.ndarray:
+    """``fn(points)``, checked to hold one value per point."""
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"a pointwise function of {len(points)} points "
+                         f"returned shape {values.shape}")
+    return values
+
+
 def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     """Build the uniform Kuhn mesh of ``box`` with spacing ``h``.
 
@@ -296,18 +321,20 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
 
 
 def tet_volumes(mesh: TetMesh) -> np.ndarray:
-    """Signed volumes of all tets (positive for correctly oriented meshes)."""
-    p = mesh.tet_coords()
-    return np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+    """Signed volumes of all tets (positive for correctly oriented meshes);
+    a lattice tiles those of cube 0 and never builds ``tets``."""
+    p = _tet_shapes(mesh)
+    vol = np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+    return np.tile(vol, mesh.n_tets // 6) if mesh.is_kuhn_lattice else vol
 
 
 def _tet_shapes(mesh: TetMesh) -> np.ndarray:
     """Corners, (k, 4, 3), of one tet per distinct shape of ``mesh``.
 
     Every tet of a Kuhn lattice is a translate of one of the six tets of
-    cube 0, and both quality measures are translation-invariant, so a
-    lattice gives those six and never builds ``tets``.  An explicit mesh
-    gives every one of its tets.
+    cube 0, and volumes and both quality measures are translation-invariant,
+    so a lattice gives those six and never builds ``tets``.  An explicit
+    mesh gives every one of its tets.
     """
     if mesh.is_kuhn_lattice:
         return mesh.node_coords(mesh.tet_nodes(np.arange(6)))

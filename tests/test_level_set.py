@@ -2,7 +2,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from levelsurf import level_set
 from levelsurf.level_set import (
     AnalyticLevelSet,
     NodalField,
@@ -94,44 +93,47 @@ SAMPLE_SPECS = {
 }
 
 
-# Chunk sizes set by the lattice: a chunk one x row long or just over it,
-# and one just under or over an xy plane, so that chunks start at every
-# offset within a row and a plane and cross row and plane ends.
-CHUNK_BY_LATTICE = {
-    "nx": lambda nx, ny: nx,
-    "nx+2": lambda nx, ny: nx + 2,
-    "plane-1": lambda nx, ny: (nx + 1) * (ny + 1) - 1,
-    "plane+1": lambda nx, ny: (nx + 1) * (ny + 1) + 1,
-}
-
-
 @pytest.mark.parametrize("explicit", [False, True])
-@pytest.mark.parametrize("chunk", [None, 1, 7, 100] + sorted(CHUNK_BY_LATTICE))
 @pytest.mark.parametrize("spec_name", sorted(SAMPLE_SPECS))
 @pytest.mark.parametrize("name", sorted(LATTICES))
-def test_chunk_sampling_matches_meshgrid(name, spec_name, chunk, explicit,
-                                         monkeypatch):
+def test_plane_sampling_matches_meshgrid(name, spec_name, explicit):
     box, h = LATTICES[name]
     mesh = build_uniform_mesh(box, h)
     spec = SAMPLE_SPECS[spec_name]
     expected = spec.evaluate(meshgrid_nodes(mesh))
-    if chunk in CHUNK_BY_LATTICE:
-        chunk = CHUNK_BY_LATTICE[chunk](*mesh.n_cells[:2])
+    nx, ny, nz = mesh.n_cells
     if explicit:
         mesh = TetMesh(mesh.nodes, mesh.tets, h=mesh.h, box=box)
-    if chunk is not None:
-        monkeypatch.setattr(level_set, "_SAMPLE_CHUNK", chunk)
-    chunk = level_set._SAMPLE_CHUNK
     sizes = []
 
     def counted(points):
-        sizes.append(len(points))
+        sizes.append(points.shape)
         return spec.evaluate(points)
 
     field = interpolate_nodal(AnalyticLevelSet(fn=counted), mesh)
     npt.assert_array_equal(field.values, expected)
-    full, rest = divmod(mesh.n_nodes, chunk)
-    assert sizes == [chunk] * full + ([rest] if rest else [])
+    if explicit:
+        assert sizes == [(mesh.n_nodes, 3)]
+    else:
+        assert sizes == [((nx + 1) * (ny + 1), 3)] * (nz + 1)
+
+
+NOT_POINTWISE = {
+    "scalar": lambda p: 1.0,
+    "sum": lambda p: p[..., 0].sum(),
+    "column": lambda p: p[..., :1],
+    "too-long": lambda p: np.ones(len(p) + 1),
+}
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("fn", sorted(NOT_POINTWISE))
+def test_sampling_rejects_a_non_pointwise_result(fn, explicit):
+    mesh = build_uniform_mesh(*LATTICES["6x4x2"])
+    if explicit:
+        mesh = TetMesh(mesh.nodes, mesh.tets, h=mesh.h, box=mesh.box)
+    with pytest.raises(ValueError, match="returned shape"):
+        interpolate_nodal(AnalyticLevelSet(fn=NOT_POINTWISE[fn]), mesh)
 
 
 def test_nodal_field_validation():

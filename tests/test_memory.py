@@ -2,7 +2,7 @@
 
 tracemalloc counts numpy's array allocations, so the traced peak of a call
 is the most numpy memory alive at once inside it.  The bounds hold for a
-node-free lattice sampled in bounded chunks, for quadrature in fixed-size
+node-free lattice sampled one z-plane at a time, for quadrature in fixed-size
 triangle blocks, for a stiffness assembly that drops the triangle corners
 before the sparse build, and for a Lanczos run that keeps two vectors;
 sampling an (N, 3) node array at once peaks near 11x the nodal field,

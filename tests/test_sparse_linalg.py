@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from levelsurf import sparse_linalg
 from levelsurf.sparse_linalg import (
+    CondEstimate,
     EigNonConvergence,
     ZeroPivotError,
     build_reference_matrix,
@@ -598,6 +599,17 @@ def test_zero_matrix_factors_nothing():
     assert eig_extreme(Z, "min") == 0.0
     est = effective_cond(Z, np.ones(3))
     assert (est.lambda_max, est.lambda_min, est.cond) == (0.0, 0.0, np.inf)
+
+
+def test_cond_is_derived_from_the_two_ends():
+    assert CondEstimate(6.0, 2.0).cond == 3.0
+    est = CondEstimate(2.0, 4.0)
+    est.lambda_min = 0.5                   # cond follows a changed end
+    assert est.cond == 4.0
+    # lambda_min <= 0, or below 1e-300 |lambda_max|, reports inf
+    for lam_min in (0.0, -1.0, 1e-10):
+        assert CondEstimate(1e300, lam_min).cond == np.inf
+    assert CondEstimate(1.0, 1e-299).cond == 1e299
 
 
 def test_effective_cond_rejects_zero_vector():

@@ -16,7 +16,6 @@ from levelsurf.surface_extract import (
     _IS_TRIANGLE,
     _PATTERNS,
     SurfaceMesh,
-    _candidate_tets,
     extract_surface,
     plane_residuals,
     split_quad,
@@ -247,9 +246,16 @@ def test_narrow_band_matches_explicit_mesh(h, name):
         plane_residuals(explicit, full_field, ref),
     )
     # lattice.tets now exists; the lattice still offers only its band
-    ids, nodes = _candidate_tets(lattice, field.values)
+    ids, nodes = lattice.band_tets(field.values > 0.0)
+    # the 6 tets of a cube hold all its 8 corners
+    corners = (field.values > 0.0)[lattice.tets].reshape(-1, 24)
+    mixed = corners.any(axis=1) & ~corners.all(axis=1)
+    npt.assert_array_equal(ids, np.flatnonzero(np.repeat(mixed, 6)))
     assert len(ids) < lattice.n_tets
     npt.assert_array_equal(nodes, lattice.tets[ids])
+    all_ids, all_nodes = explicit.band_tets(field.values > 0.0)
+    npt.assert_array_equal(all_ids, np.arange(explicit.n_tets))
+    npt.assert_array_equal(all_nodes, explicit.tets)
 
 
 @pytest.mark.parametrize("name", ["sphere_zc0.03", "plane"])

@@ -67,6 +67,28 @@ def test_tet_volume_value():
     npt.assert_allclose(tet_volumes(unit_cube_mesh()), 1.0 / 6.0, rtol=1e-13)
 
 
+@pytest.mark.parametrize("box, h, exact", [
+    (BoxDomain((-2, -2, -2), (2, 2, 2)), 0.5, True),
+    (BoxDomain((-2, -2, -2), (2, 2, 2)), 0.25, True),
+    (BoxDomain((-2.0, -1.5, -1.25), (2.0, 1.5, 1.25)), 0.5, True),
+    (BoxDomain((-2.0, -1.5, -1.25), (2.0, 1.5, 1.25)), 0.25, True),
+    (BoxDomain((0, 0, 0), (1, 1, 1)), 0.1, False),
+])
+def test_lattice_volumes_match_explicit_copy(box, h, exact, monkeypatch):
+    lattice = build_uniform_mesh(box, h)
+    ref = tet_volumes(TetMesh(lattice.nodes, lattice.tets, h=h, box=box))
+
+    def refuse(self):
+        raise AssertionError("tet_volumes built the lattice's tets")
+
+    monkeypatch.setattr(TetMesh, "tets", property(refuse))
+    vol = tet_volumes(build_uniform_mesh(box, h))
+    if exact:
+        npt.assert_array_equal(vol, ref)
+    else:
+        npt.assert_allclose(vol, ref, rtol=1e-14, atol=0)
+
+
 def test_face_multiplicities():
     mesh = build_uniform_mesh(BoxDomain((0, 0, 0), (1, 1, 1)), 0.25)
     counts = mesh.face_multiplicities()
