@@ -118,6 +118,42 @@ def test_plane_sampling_matches_meshgrid(name, spec_name, explicit):
         assert sizes == [((nx + 1) * (ny + 1), 3)] * (nz + 1)
 
 
+# Id-range lengths set by the lattice: one x row long or just over it, and
+# one just under or over an xy plane, so that ranges start at every offset
+# within a row and a plane and cross row and plane ends.
+CHUNK_BY_LATTICE = {
+    "nx": lambda nx, ny: nx,
+    "nx+2": lambda nx, ny: nx + 2,
+    "plane-1": lambda nx, ny: (nx + 1) * (ny + 1) - 1,
+    "plane+1": lambda nx, ny: (nx + 1) * (ny + 1) + 1,
+}
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 100] + sorted(CHUNK_BY_LATTICE))
+@pytest.mark.parametrize("spec_name", sorted(SAMPLE_SPECS))
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_chunk_sampling_matches_meshgrid(name, spec_name, chunk, explicit):
+    """Evaluating ``spec`` on consecutive node-id ranges read through
+    ``node_coords`` (None: all ids at once) gives the plane-sampled field
+    and the meshgrid oracle bitwise."""
+    box, h = LATTICES[name]
+    mesh = build_uniform_mesh(box, h)
+    spec = SAMPLE_SPECS[spec_name]
+    expected = spec.evaluate(meshgrid_nodes(mesh))
+    if chunk in CHUNK_BY_LATTICE:
+        chunk = CHUNK_BY_LATTICE[chunk](*mesh.n_cells[:2])
+    if explicit:
+        mesh = TetMesh(mesh.nodes, mesh.tets, h=mesh.h, box=box)
+    chunk = chunk or mesh.n_nodes
+    ids = np.arange(mesh.n_nodes)
+    chunked = [spec.evaluate(mesh.node_coords(ids[start:start + chunk]))
+               for start in range(0, mesh.n_nodes, chunk)]
+    assert [len(c) for c in chunked[:-1]] == [chunk] * (len(chunked) - 1)
+    npt.assert_array_equal(np.concatenate(chunked), expected)
+    npt.assert_array_equal(interpolate_nodal(spec, mesh).values, expected)
+
+
 NOT_POINTWISE = {
     "scalar": lambda p: 1.0,
     "sum": lambda p: p[..., 0].sum(),
