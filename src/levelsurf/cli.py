@@ -24,6 +24,8 @@ outputs; reruns with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import os
 import sys
 
@@ -391,6 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         # np.linalg.LinAlgError is a ValueError, so it ends here too
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # glibc returns heap pages only from its top; trim, so that a block a
+        # command leaves high up cannot keep the arrays it freed resident.
+        with contextlib.suppress(AttributeError, OSError, TypeError):
+            ctypes.CDLL(None).malloc_trim(0)
 
 
 if __name__ == "__main__":

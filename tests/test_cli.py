@@ -1,6 +1,8 @@
 import argparse
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -222,6 +224,23 @@ def test_extract_deterministic_rerun(tmp_path):
     assert main(["extract", "--h", "0.5", "--out", str(out)]) == 0
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+def test_main_trims_the_heap_after_each_command(tmp_path, monkeypatch,
+                                                 capsys):
+    # after a command that succeeds or fails, main hands the freed heap
+    # pages back; a C library without malloc_trim changes nothing
+    if platform.libc_ver()[0] == "glibc":
+        assert hasattr(ctypes.CDLL(None), "malloc_trim")
+    pads = []
+    libc = type("Libc", (), {"malloc_trim": lambda self, pad: pads.append(pad)})
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc())
+    out = str(tmp_path / "o")
+    assert main(["extract", "--h", "0.5", "--out", out]) == 0
+    assert main(["extract", "--h", "0.5", "--zc", "10.0", "--out", out]) == 1
+    assert pads == [0, 0]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(["extract", "--h", "0.5", "--out", out]) == 0
 
 
 # ---------------------------------------------------------------------------
