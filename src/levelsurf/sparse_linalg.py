@@ -462,15 +462,21 @@ def _lanczos(apply_op, n, project=None):
         best=float(val))
 
 
-def _shift_invert_min(A: sp.csr_matrix, delta: float, project=None) -> float:
+def _shift_invert_min(A: sp.csr_matrix, floor: float = 0.0,
+                      project=None) -> float:
     """Bottom of the spectrum of A from a shift-invert Lanczos run.
 
-    Factors A + delta*I once by sparse LU and runs :func:`_lanczos` on its
-    solve, passing ``project`` on; the bottom of A's spectrum becomes the
-    well-separated top of the inverse's.  With delta > 0 a singular A is
-    never factorized.  Returns 1/mu - delta, mu the top Ritz value, and
-    raises EigNonConvergence if mu <= 0.
+    Factors A + delta*I once by sparse LU, delta = max(1e-13 |A|_inf,
+    ``floor``), and runs :func:`_lanczos` on its solve, passing ``project``
+    on; the bottom of A's spectrum becomes the well-separated top of the
+    inverse's.  A zero matrix returns 0.0 unfactorized, and with delta > 0
+    a singular A is never factorized.  Returns 1/mu - delta, mu the top
+    Ritz value, and raises EigNonConvergence if mu <= 0.
     """
+    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
+    if norm_inf == 0.0:
+        return 0.0
+    delta = max(1e-13 * norm_inf, floor)
     n = A.shape[0]
     # A + delta*I is positive definite (or semidefinite plus the shift), so
     # diagonal pivots suffice and a symmetric minimum-degree order keeps
@@ -489,28 +495,25 @@ def eig_extreme(A, which: str = "max") -> float:
     """Extreme eigenvalue estimate by Lanczos.
 
     which="max" runs Lanczos on A itself.  which="min" runs it on the
-    inverse of A + delta*I, delta = 1e-13 |A|_inf (:func:`_shift_invert_min`),
-    and returns 0.0 for a zero matrix.  The Lanczos run has a fixed relative
-    tolerance (1e-6), step cap (600) and start vector (seed 0); it raises
-    EigNonConvergence at the cap.
+    inverse of A + delta*I, delta = 1e-13 |A|_inf, and returns 0.0 for a
+    zero matrix (:func:`_shift_invert_min`).  The Lanczos run has a fixed
+    relative tolerance (1e-6), step cap (600) and start vector (seed 0); it
+    raises EigNonConvergence at the cap.
     """
     A = _as_csr(A)
     if which == "max":
         return _lanczos(lambda v: A @ v, A.shape[0])
     if which != "min":
         raise ValueError("which must be 'max' or 'min'")
-    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
-    if norm_inf == 0.0:
-        return 0.0
-    return _shift_invert_min(A, 1e-13 * norm_inf)
+    return _shift_invert_min(A)
 
 
 def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     """lambda_max / lambda_2 with the one-dimensional kernel deflated.
 
     The normalized kernel k is projected off every Lanczos vector, and
-    lambda_2 comes from :func:`_shift_invert_min` with delta =
-    max(1e-13 |A|_inf, 4 |A k|).  ``kernel`` must actually be a kernel
+    lambda_2 comes from :func:`_shift_invert_min` with floor 4 |A k|, so
+    delta = max(1e-13 |A|_inf, 4 |A k|).  ``kernel`` must actually be a kernel
     vector: |A k| <= 1e-8 lambda_max is enforced.  An estimate with
     lambda_2 <= 0 reports cond = inf.
     """
@@ -531,9 +534,7 @@ def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
             f"supplied vector is not in the kernel: |A k| = {resid:.3e} "
             f"> 1e-8 * lambda_max = {1e-8 * abs(lam_max):.3e}"
         )
-    norm_inf = float(np.max(np.abs(A).sum(axis=1)))
-    lam2 = 0.0 if norm_inf == 0.0 else _shift_invert_min(
-        A, max(1e-13 * norm_inf, 4.0 * resid), project)
+    lam2 = _shift_invert_min(A, 4.0 * resid, project)
     return CondEstimate(float(lam_max), float(lam2))
 
 

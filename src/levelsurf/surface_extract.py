@@ -39,14 +39,19 @@ __all__ = [
 
 @dataclass
 class SurfaceMesh:
-    """Oriented watertight triangulation of the extracted surface."""
+    """Oriented watertight triangulation of the extracted surface.
 
-    vertices: np.ndarray       # (Nv, 3)
-    triangles: np.ndarray      # (F, 3) int
-    vertex_edges: np.ndarray   # (Nv, 2) parent grid edge (sorted node pair)
-    vertex_t: np.ndarray       # (Nv,) crossing parameter
-    tri_parent: np.ndarray     # (F,) parent tet index
-    tri_from_quad: np.ndarray  # (F,) bool, True for quad halves
+    Only ``vertices`` and ``triangles`` are required; a surface built from
+    them alone gets no extraction provenance: zero vertex edges and
+    crossings, parent -1 and no quad halves.
+    """
+
+    vertices: np.ndarray                    # (Nv, 3)
+    triangles: np.ndarray                   # (F, 3) int
+    vertex_edges: np.ndarray | None = None  # (Nv, 2) parent grid edge (sorted node pair)
+    vertex_t: np.ndarray | None = None      # (Nv,) crossing parameter
+    tri_parent: np.ndarray | None = None    # (F,) parent tet index
+    tri_from_quad: np.ndarray | None = None  # (F,) bool, True for quad halves
     h: float = 0.0
 
     def __post_init__(self):
@@ -56,27 +61,19 @@ class SurfaceMesh:
             raise ValueError("vertices must be (N, 3)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (F, 3)")
+        nv, nf = len(self.vertices), len(self.triangles)
         if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
+            self.triangles.min() < 0 or self.triangles.max() >= nv
         ):
             raise ValueError("triangle indices out of range")
-
-    @classmethod
-    def from_arrays(cls, vertices: np.ndarray, triangles: np.ndarray,
-                    h: float = 0.0) -> "SurfaceMesh":
-        """Wrap plain vertex/triangle arrays (no extraction provenance)."""
-        vertices = np.asarray(vertices, dtype=np.float64)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        nv, nf = len(vertices), len(triangles)
-        return cls(
-            vertices=vertices,
-            triangles=triangles,
-            vertex_edges=np.zeros((nv, 2), dtype=np.int64),
-            vertex_t=np.zeros(nv),
-            tri_parent=np.full(nf, -1, dtype=np.int64),
-            tri_from_quad=np.zeros(nf, dtype=bool),
-            h=float(h),
-        )
+        if self.vertex_edges is None:
+            self.vertex_edges = np.zeros((nv, 2), dtype=np.int64)
+        if self.vertex_t is None:
+            self.vertex_t = np.zeros(nv)
+        if self.tri_parent is None:
+            self.tri_parent = np.full(nf, -1, dtype=np.int64)
+        if self.tri_from_quad is None:
+            self.tri_from_quad = np.zeros(nf, dtype=bool)
 
     @property
     def n_vertices(self) -> int:
@@ -271,8 +268,8 @@ def plane_residuals(mesh: TetMesh, field: NodalField,
     result is (F, 3).  All residuals vanish up to roundoff for a correct
     extraction; this stays well conditioned even for sliver triangles,
     unlike a plane fitted through three nearly collinear corners.  A
-    ``tri_parent`` outside [0, mesh.n_tets), as ``from_arrays`` sets,
-    raises ValueError.
+    ``tri_parent`` outside [0, mesh.n_tets), such as the -1 of a surface
+    built without provenance, raises ValueError.
     """
     parent = surface.tri_parent
     if parent.size and (parent.min() < 0 or parent.max() >= mesh.n_tets):

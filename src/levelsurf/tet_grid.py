@@ -89,19 +89,23 @@ class TetMesh:
     """Conforming tetrahedral mesh of a box.
 
     A mesh is either explicit, ``TetMesh(nodes, tets, h, box)``, or the Kuhn
-    lattice of ``n_cells`` grid cubes, ``TetMesh(None, None, h, box,
-    n_cells)`` as built by :func:`build_uniform_mesh`.  A lattice mesh
-    stores neither nodes nor tets, only the three per-axis coordinate
-    vectors ``box.lo[d] + h * arange(n_cells[d] + 1)``:
+    lattice of ``box`` with spacing ``h``, ``TetMesh(None, None, h, box)`` as
+    built by :func:`build_uniform_mesh`.  A lattice mesh stores neither
+    nodes nor tets, only the three per-axis coordinate vectors
+    ``box.lo[d] + h * arange(n_cells[d] + 1)``:
 
     * node ``i + (nx + 1) * (j + (ny + 1) * k)`` sits at grid point
       (i, j, k); :meth:`node_coords` gives the coordinates of any node ids,
       and ``nodes`` computes the full (N, 3) array anew on each access;
     * tet ``6 * cube + pattern`` is Kuhn tet ``pattern`` of grid cube
-      ``cube`` (cubes numbered x fastest, like the nodes), and ``tets`` is
-      only built on first access; :meth:`sample` walks the nodes by
-      z-plane and :meth:`band_tets` the tets by cube, so no other module
-      needs this layout.
+      ``cube`` (cubes numbered x fastest, like the nodes), and ``tets``
+      likewise computes the full (M, 4) array on each access;
+      :meth:`sample` walks the nodes by z-plane and :meth:`band_tets` the
+      tets by cube, so no other module needs this layout.
+
+    ValueError is raised for an ``h`` that is not finite and positive, a
+    lattice ``h`` that fails :func:`build_uniform_mesh`'s conditions, and
+    non-finite explicit nodes or out-of-range tet indices.
 
     Attributes
     ----------
@@ -114,57 +118,66 @@ class TetMesh:
     box : BoxDomain
         The meshed domain.
     n_cells : (3,) ints
-        Number of grid cubes per axis.
+        Number of grid cubes per axis; a lattice only.
     """
 
     def __init__(self, nodes: np.ndarray | None, tets: np.ndarray | None,
-                 h: float, box: BoxDomain,
-                 n_cells: tuple[int, int, int] = (0, 0, 0)):
+                 h: float, box: BoxDomain):
+        if not 0.0 < h < float("inf"):
+            raise ValueError(f"h must be finite and positive, got {h}")
         self.h = h
         self.box = box
-        self.n_cells = tuple(int(v) for v in n_cells)
-        self._tets = None
         self._lattice = tets is None
-        if self._lattice:
-            if nodes is not None:
-                raise ValueError("a lattice mesh (tets=None) stores no nodes; "
-                                 "pass nodes=None")
-            ext = box.extents
-            n = np.array(self.n_cells)
-            if n.min() < 1 or np.any(np.abs(n * h - ext) > 1e-9 * np.abs(ext)):
-                raise ValueError(f"h={h} does not divide the box extents "
-                                 f"{tuple(ext.tolist())} into {self.n_cells} "
-                                 "cubes")
-            self._axes = [lo + h * np.arange(m + 1)
-                          for lo, m in zip(box.lo, self.n_cells)]
-        else:
+        if not self._lattice:
             self._nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+            self._tets = np.ascontiguousarray(tets, dtype=np.int64)
             if self._nodes.ndim != 2 or self._nodes.shape[1] != 3:
                 raise ValueError("nodes must be (N, 3)")
-            self._set_tets(tets)
-
-    def _set_tets(self, tets) -> None:
-        tets = np.ascontiguousarray(tets, dtype=np.int64)
-        if tets.ndim != 2 or tets.shape[1] != 4:
-            raise ValueError("tets must be (M, 4)")
-        if tets.size and (tets.min() < 0 or tets.max() >= self.n_nodes):
-            raise ValueError("tet indices out of range")
-        self._tets = tets
+            if not np.all(np.isfinite(self._nodes)):
+                raise ValueError("nodes must be finite")
+            if self._tets.ndim != 2 or self._tets.shape[1] != 4:
+                raise ValueError("tets must be (M, 4)")
+            if self._tets.size and (self._tets.min() < 0
+                                    or self._tets.max() >= len(self._nodes)):
+                raise ValueError("tet indices out of range")
+            return
+        if nodes is not None:
+            raise ValueError("a lattice mesh (tets=None) stores no nodes; "
+                             "pass nodes=None")
+        ext = box.extents
+        # in Python floats, which overflow to inf without a warning
+        n_nodes = math.prod(float(e) / float(h) + 1.0 for e in ext)
+        if not n_nodes < 2.0**63:
+            raise ValueError(f"h={h} is too fine: the grid would have "
+                             f"{n_nodes:.3g} nodes, more than int64 node ids "
+                             "can index")
+        # the extents are positive: an h that divides them leaves a cube
+        n = np.round(ext / h).astype(np.int64)
+        if np.any(np.abs(n * h - ext) > 1e-9 * ext):
+            raise ValueError(f"h={h} does not divide the box extents "
+                             f"{tuple(ext.tolist())}")
+        self.n_cells = tuple(int(v) for v in n)
+        self._axes = [lo + h * np.arange(m + 1)
+                      for lo, m in zip(box.lo, self.n_cells)]
+        # node-id offsets of the 6 Kuhn tets from their cube's lowest corner
+        nx, ny, _ = self.n_cells
+        corner = _CORNER_OFFSETS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+        self._kuhn = corner[_KUHN_TETS]
 
     @property
     def is_kuhn_lattice(self) -> bool:
-        """True for a lattice mesh, whether or not ``tets`` was built yet."""
+        """True for a lattice mesh, which computes ``tets`` on each access."""
         return self._lattice
 
     @property
     def tets(self) -> np.ndarray:
-        if self._tets is None:
-            # tet_nodes(arange(n_tets)) per cube: the per-tet ids and their
-            # temporaries would double the peak memory of this build.
-            cubes = np.arange(self.n_tets // 6)
-            self._set_tets((self._cube_base(cubes)[:, None, None]
-                            + self._kuhn_offsets()).reshape(-1, 4))
-        return self._tets
+        """(M, 4) node ids per tet; a lattice computes them on each access."""
+        if not self._lattice:
+            return self._tets
+        # per cube, not tet_nodes(arange(n_tets)): the per-tet ids and their
+        # temporaries would double the peak memory of this build.
+        cubes = np.arange(self.n_tets // 6)
+        return (self._cube_base(cubes)[:, None, None] + self._kuhn).reshape(-1, 4)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -250,19 +263,12 @@ class TetMesh:
         ci, cj, ck = cubes % nx, (cubes // nx) % ny, cubes // (nx * ny)
         return ci + (nx + 1) * (cj + (ny + 1) * ck)
 
-    def _kuhn_offsets(self) -> np.ndarray:
-        """Node-id offsets of the 6 Kuhn tets from their cube's lowest corner."""
-        nx, ny, _ = self.n_cells
-        corner = _CORNER_OFFSETS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
-        return corner[_KUHN_TETS]
-
     def tet_nodes(self, tet_ids: np.ndarray) -> np.ndarray:
         """Node ids of the given tets, (len, 4), without building ``tets``."""
         tet_ids = np.asarray(tet_ids, dtype=np.int64)
         if not self._lattice:
             return self._tets[tet_ids]
-        return (self._cube_base(tet_ids // 6)[:, None]
-                + self._kuhn_offsets()[tet_ids % 6])
+        return self._cube_base(tet_ids // 6)[:, None] + self._kuhn[tet_ids % 6]
 
     def tet_coords(self) -> np.ndarray:
         """Vertex coordinates per tet, shape (M, 4, 3)."""
@@ -295,7 +301,7 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     its lowest to its highest corner; all cubes use the same diagonal
     direction so shared faces coincide and the mesh is conforming.  The
     mesh stores only its three axis coordinate vectors; the (n+1)^3 nodes
-    and 6 n^3 tets are implicit in ``n_cells``.
+    and 6 n^3 tets are implicit in ``box`` and ``h``.
 
     Parameters
     ----------
@@ -303,21 +309,14 @@ def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:
     h : float
         Cube edge length, finite and positive.  Must divide every box
         extent to within a 1e-9 relative tolerance, into fewer than 2**63
-        nodes (node ids are int64).
+        nodes (node ids are int64); :class:`TetMesh` raises ValueError
+        otherwise.
 
     Returns
     -------
     TetMesh
     """
-    if not 0.0 < h < float("inf"):
-        raise ValueError(f"h must be finite and positive, got {h}")
-    # in Python floats, which overflow to inf without a warning
-    n_nodes = math.prod(float(e) / float(h) + 1.0 for e in box.extents)
-    if not n_nodes < 2.0**63:
-        raise ValueError(f"h={h} is too fine: the grid would have {n_nodes:.3g} "
-                         "nodes, more than int64 node ids can index")
-    n_cells = np.round(box.extents / h).astype(np.int64)
-    return TetMesh(None, None, h=float(h), box=box, n_cells=tuple(n_cells))
+    return TetMesh(None, None, float(h), box)
 
 
 def tet_volumes(mesh: TetMesh) -> np.ndarray:

@@ -5,6 +5,7 @@ from levelsurf import (
     BoxDomain,
     SphereLevelSet,
     SurfaceFunction,
+    TetMesh,
     build_uniform_mesh,
     extract_surface,
     interpolate_nodal,
@@ -29,6 +30,17 @@ def sphere_surface(h, zc=0.0, radius=1.0, box=BOX):
     spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
     field = snap_small_values(interpolate_nodal(spec, mesh))
     return spec, extract_surface(mesh, field)
+
+
+def refuse_mesh_arrays(monkeypatch):
+    """Make ``TetMesh.tets`` and ``TetMesh.nodes`` raise until
+    ``monkeypatch.undo()``: a lattice computes either array anew on each
+    access, so this catches any build of them."""
+    def refuse(self):
+        raise AssertionError("the mesh's full node or tet array was built")
+
+    monkeypatch.setattr(TetMesh, "tets", property(refuse))
+    monkeypatch.setattr(TetMesh, "nodes", property(refuse))
 
 
 def meshgrid_nodes(mesh):

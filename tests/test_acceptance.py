@@ -212,7 +212,7 @@ def test_criterion_7_oracle_equivalence(sphere_h4):
         area = 0.5 * np.linalg.norm(np.cross(e0, e1))
         if area < 1e-2:
             continue
-        tri = SurfaceMesh.from_arrays(p, np.array([[0, 1, 2]]))
+        tri = SurfaceMesh(p, np.array([[0, 1, 2]]))
         M = assemble_mass(tri).toarray()
         npt.assert_allclose(
             M, area * (np.ones((3, 3)) + np.eye(3)) / 12.0, rtol=1e-12

@@ -21,7 +21,8 @@ from levelsurf.cli import (
     main,
 )
 from levelsurf.sparse_linalg import EigNonConvergence, ZeroPivotError
-from levelsurf.tet_grid import TetMesh
+
+from conftest import refuse_mesh_arrays
 
 
 def read_csv(path):
@@ -387,6 +388,25 @@ def test_conditioning_gate_h8(tmp_path):
         rtol=1e-9)
 
 
+def test_conditioning_exports_each_row_like_extract(tmp_path):
+    # Row z_c's matrix is extract's scaled stiffness at that z_c, and the
+    # export leaves the table as it is.
+    out = tmp_path / "cond"
+    args = ["conditioning", "--h", "0.25", "--zc-list", "0.03,0"]
+    assert main(args + ["--export", "mm", "--out", str(out)]) == 0
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert ((out / "conditioning.csv").read_bytes()
+            == (tmp_path / "plain" / "conditioning.csv").read_bytes())
+    assert sorted(p.name for p in out.glob("*.mtx")) == [
+        "stiffness_scaled_zc0.0.mtx", "stiffness_scaled_zc0.03.mtx"]
+    for zc in ("0.03", "0.0"):
+        ext = tmp_path / f"extract{zc}"
+        assert main(["extract", "--h", "0.25", "--zc", zc, "--export", "mm",
+                     "--out", str(ext)]) == 0
+        assert ((out / f"stiffness_scaled_zc{zc}.mtx").read_bytes()
+                == (ext / "stiffness_scaled.mtx").read_bytes())
+
+
 def test_conditioning_deterministic_rerun(tmp_path):
     out = tmp_path / "o"
     args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.002",
@@ -468,11 +488,7 @@ def test_massbound(tmp_path, capsys):
 def test_commands_build_no_mesh_arrays(argv, tmp_path, monkeypatch):
     # The lattice's (n+1)^3 nodes and 6 n^3 tets do not fit in memory at
     # the finest mesh sizes; no command may ask for either array.
-    def refuse(self):
-        raise AssertionError("the command built the mesh's node or tet array")
-
-    monkeypatch.setattr(TetMesh, "tets", property(refuse))
-    monkeypatch.setattr(TetMesh, "nodes", property(refuse))
+    refuse_mesh_arrays(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
 

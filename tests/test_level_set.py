@@ -26,7 +26,7 @@ CUBE = build_uniform_mesh(BoxDomain((0, 0, 0), (1, 1, 1)), 1.0)  # 8 nodes
 
 def extend(u, spec, points):
     """u's extension at ambient points: interpolate on a triangle-free mesh."""
-    return interpolate(u, spec, SurfaceMesh.from_arrays(points, np.zeros((0, 3))))
+    return interpolate(u, spec, SurfaceMesh(points, np.zeros((0, 3))))
 
 
 def cube_field(values):

@@ -61,7 +61,7 @@ def test_near_degenerate_angle(site):
         npt.assert_array_equal(split_quad(np.arange(4), q), [[2, 3, 0], [2, 0, 1]])
     else:
         # off-diagonal (1, 2) is -cot(angle at corner 0) / 2
-        K = assemble_stiffness(SurfaceMesh.from_arrays(v, t)).toarray()
+        K = assemble_stiffness(SurfaceMesh(v, t)).toarray()
         npt.assert_allclose(-2.0 * K[1, 2], float(mpmath.cot(exact)), rtol=1e-12)
 
 
@@ -81,11 +81,11 @@ def test_degenerate_triangle_rejected():
     with pytest.raises(ValueError, match="degenerate triangle at index 0"):
         triangle_angles(v, t)
     with pytest.raises(ValueError, match="degenerate triangle"):
-        quality_report(SurfaceMesh.from_arrays(v, t))
+        quality_report(SurfaceMesh(v, t))
     # with distance and normal handles too, the angle check names the
     # triangle before the normals would divide by its zero area
     v = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]], dtype=float)
-    surf = SurfaceMesh.from_arrays(v, np.array([[0, 1, 2], [0, 3, 0]]))
+    surf = SurfaceMesh(v, np.array([[0, 1, 2], [0, 3, 0]]))
     with pytest.raises(ValueError, match="degenerate triangle at index 1"):
         quality_report(surf, SphereLevelSet())
 
@@ -129,8 +129,8 @@ def test_rigid_motion_invariance(sphere_h4):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    moved = SurfaceMesh.from_arrays(surf.vertices @ q.T + [1.0, -2.0, 0.5],
-                                    surf.triangles, h=surf.h)
+    moved = SurfaceMesh(surf.vertices @ q.T + [1.0, -2.0, 0.5],
+                        surf.triangles, h=surf.h)
     rep2 = quality_report(moved)
     npt.assert_allclose(rep2.phi_max_deg, rep.phi_max_deg, rtol=1e-9)
     npt.assert_allclose(rep2.phi_min_deg, rep.phi_min_deg, rtol=1e-6)
@@ -138,7 +138,7 @@ def test_rigid_motion_invariance(sphere_h4):
 
 
 def test_empty_surface_report():
-    surf = SurfaceMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    surf = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     rep = quality_report(surf)
     assert rep.n_triangles == 0
     assert np.isnan(rep.phi_max_deg)

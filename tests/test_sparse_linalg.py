@@ -593,12 +593,54 @@ def test_effective_cond_rejects_non_kernel():
         effective_cond(A, np.array([0.0, 1.0, 0.0]))
 
 
-def test_zero_matrix_factors_nothing():
+def test_zero_matrix_factors_nothing(monkeypatch):
     # a zero matrix has no shift to regularize it, so neither call factors
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero matrix was factorized")
+
+    monkeypatch.setattr(spla, "splu", refuse)
     Z = sp.csr_matrix((3, 3))
     assert eig_extreme(Z, "min") == 0.0
     est = effective_cond(Z, np.ones(3))
     assert (est.lambda_max, est.lambda_min, est.cond) == (0.0, 0.0, np.inf)
+
+
+@pytest.mark.parametrize("floor, delta", [(0.0, 4e-13), (0.5, 0.5)])
+def test_shift_is_the_floor_or_the_norm_term(monkeypatch, floor, delta):
+    # delta = max(1e-13 |A|_inf, floor); |A|_inf = 4 here
+    A = sp.diags([np.array([1.0, 2.0, 4.0])], [0], format="csr")
+    factored = []
+    splu = spla.splu
+
+    def recording(M, **kwargs):
+        factored.append(M.diagonal() - A.diagonal())
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    npt.assert_allclose(sparse_linalg._shift_invert_min(A, floor), 1.0,
+                        rtol=1e-6)
+    # A + delta*I rounds, so delta comes back to about 1e-3 relative
+    npt.assert_allclose(factored, [[delta] * 3], rtol=1e-3)
+
+
+def test_end_ritz_falls_back_to_the_full_tridiagonal_solve(monkeypatch):
+    # A failed one-pair solve is redone as the full tridiagonal eigensolve.
+    A = build_reference_matrix(10, 10)
+    ref = eig_extreme(A, "max")
+    eigh_tridiagonal = sla.eigh_tridiagonal
+    selects = []
+
+    def no_selection(d, e, *args, select="a", **kwargs):
+        selects.append(select)
+        if select == "i":
+            raise sla.LinAlgError("selected eigenpair did not converge")
+        return eigh_tridiagonal(d, e, *args, select=select, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", no_selection)
+    lam = eig_extreme(A, "max")
+    assert "i" in selects and "a" in selects
+    npt.assert_allclose(lam, ref, rtol=1e-12)
+    npt.assert_allclose(lam, np.linalg.eigvalsh(A.toarray())[-1], rtol=1e-6)
 
 
 def test_cond_is_derived_from_the_two_ends():

@@ -27,7 +27,7 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
-from conftest import BOX, sphere_surface
+from conftest import BOX, refuse_mesh_arrays, sphere_surface
 
 # Single positively oriented reference tet (0,0,0),(1,0,0),(0,1,0),(0,0,1).
 REF_NODES = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
@@ -203,7 +203,7 @@ def test_plane_residuals_detect_a_bad_surface(sphere_h4):
     moved = dataclasses.replace(surf, vertices=vertices)
     assert plane_residuals(mesh, field, moved).max() > 1e-9 * mesh.h
 
-    unparented = SurfaceMesh.from_arrays(surf.vertices, surf.triangles, h=mesh.h)
+    unparented = SurfaceMesh(surf.vertices, surf.triangles, h=mesh.h)
     with pytest.raises(ValueError, match="no parent tet"):
         plane_residuals(mesh, field, unparented)
 
@@ -223,13 +223,14 @@ NARROW_BAND_FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(NARROW_BAND_FIELDS))
 @pytest.mark.parametrize("h", [0.5, 0.25, 0.125, 0.0625])
-def test_narrow_band_matches_explicit_mesh(h, name):
+def test_narrow_band_matches_explicit_mesh(h, name, monkeypatch):
     # A lattice mesh cuts only the tets of sign-change cubes; an explicit
     # mesh with the same tets offers every tet to the same extractor.
+    refuse_mesh_arrays(monkeypatch)        # the lattice builds neither array
     lattice = build_uniform_mesh(BOX, h)
     field = snap_small_values(interpolate_nodal(NARROW_BAND_FIELDS[name], lattice))
     surf = extract_surface(lattice, field)
-    assert lattice._tets is None           # tets were never materialized
+    monkeypatch.undo()
 
     explicit = TetMesh(lattice.nodes, lattice.tets, h=lattice.h, box=lattice.box)
     assert lattice.is_kuhn_lattice and not explicit.is_kuhn_lattice
@@ -245,7 +246,7 @@ def test_narrow_band_matches_explicit_mesh(h, name):
         plane_residuals(lattice, field, surf),
         plane_residuals(explicit, full_field, ref),
     )
-    # lattice.tets now exists; the lattice still offers only its band
+    # the lattice offers only its band
     ids, nodes = lattice.band_tets(field.values > 0.0)
     # the 6 tets of a cube hold all its 8 corners
     corners = (field.values > 0.0)[lattice.tets].reshape(-1, 24)
@@ -362,6 +363,19 @@ def test_zero_volume_cut_tet_raises():
     with pytest.raises(ValueError, match="zero volume"):
         extract_surface(mesh, NodalField(
             mesh=mesh, values=np.array([-1.0, -1, -1, 1, -1, 1, 1, 1])))
+
+
+def test_extract_rejects_nodal_zeros_and_a_foreign_field():
+    mesh = build_uniform_mesh(BOX, 0.5)
+    # unsnapped, z = 0 vanishes on the whole z = 0 plane of 9 x 9 nodes
+    field = interpolate_nodal(AnalyticLevelSet(lambda p: p[:, 2]), mesh)
+    assert np.count_nonzero(field.values == 0.0) == 81
+    with pytest.raises(ValueError, match="exact nodal zeros"):
+        extract_surface(mesh, field)
+    fine = snap_small_values(
+        interpolate_nodal(SphereLevelSet(), build_uniform_mesh(BOX, 0.25)))
+    with pytest.raises(ValueError, match="does not match the mesh"):
+        extract_surface(mesh, fine)
 
 
 # SHA-256 of the integer arrays of the sphere surface on BOX, pinned so
@@ -535,19 +549,26 @@ def test_split_max_angle_not_increased():
 
 def test_from_arrays_surface():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    surf = SurfaceMesh.from_arrays(verts, np.array([[0, 1, 2]]), h=0.5)
+    surf = SurfaceMesh(verts, np.array([[0, 1, 2]]), h=0.5)
     npt.assert_allclose(surf.areas(), [0.5])
     npt.assert_allclose(surf.normals(), [[0, 0, 1]])
     assert surf.h == 0.5
     assert not surf.is_watertight()    # open single triangle
+    # no extraction provenance: zero edges and crossings, no parent tet
+    npt.assert_array_equal(surf.vertex_edges, np.zeros((3, 2), dtype=np.int64))
+    npt.assert_array_equal(surf.vertex_t, np.zeros(3))
+    npt.assert_array_equal(surf.tri_parent, [-1])
+    npt.assert_array_equal(surf.tri_from_quad, [False])
+    assert surf.vertex_edges.dtype == surf.tri_parent.dtype == np.int64
+    assert surf.tri_from_quad.dtype == bool
 
 
 def test_from_arrays_index_validation():
     with pytest.raises(ValueError):
-        SurfaceMesh.from_arrays(np.zeros((2, 3)), np.array([[0, 1, 2]]))
+        SurfaceMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match=r"triangles must be \(F, 3\)"):
-        SurfaceMesh.from_arrays(np.zeros((4, 3)), np.array([[0, 1, 2, 3]]))
+        SurfaceMesh(np.zeros((4, 3)), np.array([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match=r"triangles must be \(F, 3\)"):
-        SurfaceMesh.from_arrays(np.zeros((3, 3)), np.array([0, 1, 2]))
+        SurfaceMesh(np.zeros((3, 3)), np.array([0, 1, 2]))
     with pytest.raises(ValueError, match=r"vertices must be \(N, 3\)"):
-        SurfaceMesh.from_arrays(np.zeros((3, 2)), np.array([[0, 1, 2]]))
+        SurfaceMesh(np.zeros((3, 2)), np.array([[0, 1, 2]]))

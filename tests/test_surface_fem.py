@@ -53,7 +53,7 @@ SYMPY_MASS = _sympy_mass_reference()  # (1 + delta_ij) / 24
 
 
 def one_tri_surface(p):
-    return SurfaceMesh.from_arrays(np.asarray(p, dtype=float), np.array([[0, 1, 2]]))
+    return SurfaceMesh(np.asarray(p, dtype=float), np.array([[0, 1, 2]]))
 
 
 def flat_patch(n=4):
@@ -68,7 +68,7 @@ def flat_patch(n=4):
             b = (i + 1) * (n + 1) + j
             tris.append([a, b, b + 1])
             tris.append([a, b + 1, a + 1])
-    return SurfaceMesh.from_arrays(verts, np.array(tris), h=1.0 / n)
+    return SurfaceMesh(verts, np.array(tris), h=1.0 / n)
 
 
 def test_sympy_mass_reference_pattern():
@@ -369,7 +369,7 @@ def test_interpolate_extension_constancy():
     spec = SphereLevelSet()
     u = product_arctan_function()
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    surf = SurfaceMesh.from_arrays(
+    surf = SurfaceMesh(
         np.stack([v, 1.1 * v, [1.0, 0.0, 0.0]]), np.array([[0, 1, 2]])
     )
     coeffs = interpolate(u, spec, surf)

@@ -16,7 +16,7 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
-from conftest import LATTICES, meshgrid_nodes
+from conftest import LATTICES, meshgrid_nodes, refuse_mesh_arrays
 
 # Frozen oracle values (brute force over all angles of the cube subdivision,
 # and closed forms for the regular tetrahedron).
@@ -145,15 +145,10 @@ def test_shape_regularity_per_tet(mesh_h4):
 
 
 def test_lattice_quality_builds_no_tets(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a lattice quality measure built the mesh arrays")
-
-    monkeypatch.setattr(TetMesh, "tets", property(refuse))
-    monkeypatch.setattr(TetMesh, "nodes", property(refuse))
+    refuse_mesh_arrays(monkeypatch)
     mesh = build_uniform_mesh(BoxDomain((-2, -2, -2), (2, 2, 2)), 1 / 64)
     npt.assert_allclose(shape_regularity(mesh), KUHN_ALPHA, rtol=1e-12)
     npt.assert_allclose(min_angle_theta(mesh), KUHN_MIN_ANGLE, rtol=1e-12)
-    assert mesh._tets is None
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
@@ -267,13 +262,13 @@ def test_main_diagonal_shared():
         assert 0 in tet and 7 in tet
 
 
-def test_lattice_tets_match_per_cube_loop():
+def test_lattice_tets_match_per_cube_loop(monkeypatch):
     # Non-cubic grid (6 x 4 x 2 cubes) so that axis mix-ups show.
+    refuse_mesh_arrays(monkeypatch)        # n_tets and tet_nodes build nothing
     mesh = build_uniform_mesh(BoxDomain((0, 0, 0), (3, 2, 1)), 0.5)
     nx, ny, nz = mesh.n_cells
     assert (nx, ny, nz) == (6, 4, 2)
     assert mesh.n_tets == 6 * nx * ny * nz
-    assert mesh._tets is None              # n_tets builds nothing
 
     def node(i, j, k):
         return i + (nx + 1) * (j + (ny + 1) * k)
@@ -289,24 +284,46 @@ def test_lattice_tets_match_per_cube_loop():
                 ref += [[corners[c] for c in tet] for tet in kuhn]
     ids = np.array([0, 5, 6, 47, 100, mesh.n_tets - 1])
     npt.assert_array_equal(mesh.tet_nodes(ids), np.array(ref)[ids])
-    assert mesh._tets is None
+    monkeypatch.undo()
     npt.assert_array_equal(mesh.tets, ref)
     npt.assert_array_equal(mesh.tet_nodes(ids), mesh.tets[ids])
+    assert mesh.tets is not mesh.tets      # computed, never cached
     assert mesh.is_kuhn_lattice
 
 
 def test_lattice_mesh_validation():
     nodes = np.zeros((8, 3))
     box = BoxDomain((0, 0, 0), (1, 1, 1))
-    assert TetMesh(None, None, h=1.0, box=box, n_cells=(1, 1, 1)).n_tets == 6
-    with pytest.raises(ValueError, match="does not divide"):
-        TetMesh(None, None, h=1.0, box=box, n_cells=(2, 1, 1))
-    with pytest.raises(ValueError, match="does not divide"):
-        TetMesh(None, None, h=1.0, box=box)
+    mesh = TetMesh(None, None, h=0.5, box=box)
+    assert mesh.n_cells == (2, 2, 2) and mesh.n_tets == 48
+    for h in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TetMesh(None, None, h=h, box=box)
+    with pytest.raises(ValueError, match="too fine"):
+        TetMesh(None, None, h=1e-7, box=box)
+    # 1e-9 relative is the tolerance; an h past the extent leaves no cube
+    assert TetMesh(None, None, h=0.5 * (1 + 1e-10), box=box).n_cells == (2, 2, 2)
+    for h in (0.5 * (1 + 1e-8), 0.4, 2.0):
+        with pytest.raises(ValueError, match="does not divide"):
+            TetMesh(None, None, h=h, box=box)
     with pytest.raises(ValueError, match="stores no nodes"):
-        TetMesh(nodes, None, h=1.0, box=box, n_cells=(1, 1, 1))
+        TetMesh(nodes, None, h=1.0, box=box)
     with pytest.raises(ValueError, match="out of range"):
         TetMesh(nodes[:4], np.array([[0, 1, 2, 4]]), h=1.0, box=box)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_explicit_mesh_rejects_non_finite_input(bad):
+    # A non-finite node would turn tet_volumes into NaN with a RuntimeWarning,
+    # and interpolate_nodal would then blame the field; a NaN h would turn
+    # shape_regularity's degenerate-tet check into a raw LinAlgError.
+    nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    tets, box = np.array([[0, 1, 2, 3]]), BoxDomain((0, 0, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        TetMesh(nodes, tets, h=bad, box=box)
+    nodes[2, 1] = bad
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        TetMesh(nodes, tets, h=1.0, box=box)
 
 
 @pytest.mark.parametrize("shape", [(4000, 3), (1000, 4, 3)])
