@@ -14,6 +14,12 @@ surface function ``SURFACE_FUNCTION`` = product-arctan and the PCG
 tolerance ``PCG_TOL`` = 1e-8.  Only mesh sizes, z_c, the seed and the
 reference-matrix size are set on the command line.
 
+``conditioning`` runs its rows in forked worker processes, one per usable
+CPU up to the number of rows, and in this process when one is enough.  A
+row is a function of (h, z_c, seed) alone: its PCG right-hand side comes
+from ``--seed`` and not from the rows before it, so the outputs do not
+depend on the worker count.  Peak memory is per worker.
+
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
 whose effective condition number did not converge, 1 operational error
 (including a solver failure outside that row).
@@ -272,42 +278,96 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
+@contextlib.contextmanager
+def _row_map(n_rows: int):
+    """The ``map`` that runs ``n_rows`` independent rows, in list order.
+
+    The builtin ``map`` when one worker is enough (one row, one usable CPU,
+    or no ``fork`` start method); otherwise the ``map`` of a pool of forked
+    processes, one per usable CPU up to ``n_rows``.  The pool is shut down,
+    its queued rows cancelled and its workers joined when the block exits.
+    A worker that dies ends as a ``ChildProcessError``.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        cpus = 1
+    workers = min(n_rows, cpus)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # fork, not spawn: a worker starts with numpy and scipy imported and
+    # with the caller's module state; no thread of this command runs yet
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _conditioning_row(args: argparse.Namespace, zc: float):
+    """One ``conditioning`` row, a function of (h, z_c, seed) alone.
+
+    Returns the row, whether cond_As_eff converged and the row's notes for
+    stderr.  The PCG right-hand side is A^s v for a unit v drawn from a
+    fresh ``default_rng(seed)``, so a row is the same wherever it stands in
+    the list.
+    """
+    rng = np.random.default_rng(args.seed)
+    spec, surface = _sphere_surface(args.h, zc)
+    report = quality_report(surface, spec)
+    cond_ms = scaled_mass_cond(assemble_mass(surface)).cond
+    As, d = diag_scale(assemble_stiffness(surface))
+    kernel = np.sqrt(d)
+    kernel /= _norm(kernel)
+    converged = True
+    try:
+        cond_as = effective_cond(As, kernel).cond
+    except EigNonConvergence:
+        cond_as, converged = float("nan"), False
+    v = rng.standard_normal(As.shape[0])
+    v /= _norm(v)
+    notes = []
+    # Plain ILU(0) for the (semidefinite) surface systems: the
+    # row-compensated variant can turn singular row sums into
+    # non-positive pivots.  Jacobi is the fallback of last resort.
+    try:
+        _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="ilu0")
+    except (ZeroPivotError, np.linalg.LinAlgError) as exc:
+        notes.append(f"ILU(0)-PCG failed at z_c = {lsio.fmt(zc)} "
+                     f"({type(exc).__name__}: {exc}); "
+                     f"pcg_iters is from Jacobi-PCG")
+        _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="jacobi")
+    if "mm" in args.export:
+        lsio.write_matrix_market(os.path.join(
+            args.out, f"stiffness_scaled_zc{lsio.fmt(zc)}.mtx"), As)
+    row = (_quality_row(zc, report)
+           + [As.shape[0], cond_ms, cond_as, stats.iterations])
+    return row, converged, notes
+
+
 def cmd_conditioning(args: argparse.Namespace) -> int:
     out = args.out
-    rng = np.random.default_rng(args.seed)
+    zcs = args.zc_list
     rows = []
     unconverged = []
-    for zc in args.zc_list:
-        spec, surface = _sphere_surface(args.h, zc)
-        report = quality_report(surface, spec)
-        cond_ms = scaled_mass_cond(assemble_mass(surface)).cond
-        A = assemble_stiffness(surface)
-        As, d = diag_scale(A)
-        kernel = np.sqrt(d)
-        kernel /= _norm(kernel)
-        try:
-            cond_as = effective_cond(As, kernel).cond
-        except EigNonConvergence:
-            cond_as = float("nan")
-            unconverged.append(zc)
-        v = rng.standard_normal(As.shape[0])
-        v /= _norm(v)
-        # Plain ILU(0) for the (semidefinite) surface systems: the
-        # row-compensated variant can turn singular row sums into
-        # non-positive pivots.  Jacobi is the fallback of last resort.
-        try:
-            _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="ilu0")
-        except (ZeroPivotError, np.linalg.LinAlgError) as exc:
-            print(f"ILU(0)-PCG failed at z_c = {lsio.fmt(zc)} "
-                  f"({type(exc).__name__}: {exc}); "
-                  f"pcg_iters is from Jacobi-PCG", file=sys.stderr)
-            _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="jacobi")
-        rows.append(_quality_row(zc, report)
-                    + [As.shape[0], cond_ms, cond_as, stats.iterations])
-        if "mm" in args.export:
-            tag = lsio.fmt(zc)
-            lsio.write_matrix_market(
-                os.path.join(out, f"stiffness_scaled_zc{tag}.mtx"), As)
+    with _row_map(len(zcs)) as row_map:
+        for zc, (row, converged, notes) in zip(
+                zcs, row_map(_conditioning_row, [args] * len(zcs), zcs)):
+            for note in notes:
+                print(note, file=sys.stderr)
+            rows.append(row)
+            if not converged:
+                unconverged.append(zc)
     lsio.write_csv(os.path.join(out, "conditioning.csv"),
                    CONDITIONING_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {os.path.join(out, 'conditioning.csv')}")

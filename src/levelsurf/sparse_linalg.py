@@ -53,8 +53,13 @@ class ZeroPivotError(RuntimeError):
 
     def __init__(self, row: int, structural: bool = False):
         self.row = row
+        self.structural = structural
         kind = "structurally missing" if structural else "zero"
         super().__init__(f"ILU(0) breakdown: {kind} pivot in row {row}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, not from ``args`` (the message)
+        return type(self), (self.row, self.structural)
 
 
 class EigNonConvergence(RuntimeError):
@@ -63,6 +68,9 @@ class EigNonConvergence(RuntimeError):
     def __init__(self, message: str, best: float | None = None):
         self.best = best
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.best)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import argparse
 import ctypes
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from levelsurf.cli import (
     main,
 )
 from levelsurf.sparse_linalg import EigNonConvergence, ZeroPivotError
+from levelsurf.surface_fem import assemble_stiffness, diag_scale
 
 from conftest import refuse_mesh_arrays
 
@@ -321,53 +324,93 @@ def test_conditioning_table(tmp_path):
         assert int(r[11]) >= 1                    # pcg_iters
 
 
+def _use_cpus(monkeypatch, n):
+    # conditioning runs its rows in this process on one usable CPU and in
+    # forked workers on two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _dim(h, zc):
+    return cli._sphere_surface(h, zc)[1].n_vertices
+
+
+# The fakes below key on their input, not on a count of calls: a row that
+# runs in a forked worker changes no counter of this process.
+
+
 def test_conditioning_unconverged_row_exits_2(tmp_path, capsys, monkeypatch):
     real = cli.effective_cond
-    calls = []
+    dim = _dim(0.5, 0.03)
+    assert dim != _dim(0.5, 0.0)
 
-    def fail_second_row(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
+    def fail_at_003(As, *args, **kwargs):
+        if As.shape[0] == dim:
             raise EigNonConvergence("lambda_max estimate not converged")
-        return real(*args, **kwargs)
+        return real(As, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "effective_cond", fail_second_row)
-    out = tmp_path / "o"
-    code = main(["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03",
-                 "--out", str(out)])
-    assert code == 2
-    assert "did not converge at z_c = 0.03" in capsys.readouterr().err
-    header, rows = read_csv(out / "conditioning.csv")
-    assert header == CONDITIONING_COLUMNS
-    assert [float(r[0]) for r in rows] == [0.0, 0.03]
-    assert float(rows[0][10]) > 1.0
-    assert rows[1][10] == "nan"
+    monkeypatch.setattr(cli, "effective_cond", fail_at_003)
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code = main(["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("cond_As_eff did not converge at "
+                                           "z_c = 0.03 (written as nan)\n")
+        header, rows = read_csv(out / "conditioning.csv")
+        assert header == CONDITIONING_COLUMNS
+        assert [float(r[0]) for r in rows] == [0.0, 0.03]
+        assert float(rows[0][10]) > 1.0
+        assert rows[1][10] == "nan"
 
 
 def test_conditioning_jacobi_fallback_is_reported(tmp_path, capsys,
                                                   monkeypatch):
+    args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03"]
+    assert main(args + ["--out", str(tmp_path / "ref")]) == 0
+    _, ref_rows = read_csv(tmp_path / "ref" / "conditioning.csv")
     real = cli.pcg
-    calls = []
+    dims = {_dim(0.5, 0.0): "0.0", _dim(0.5, 0.03): "0.03"}
+    assert len(dims) == 2
+    log = tmp_path / "calls"
 
-    def fail_first_call(*args, **kwargs):
-        calls.append(kwargs["precond"])
-        if len(calls) == 1:
+    def fail_ilu0_at_zero(As, *args, **kwargs):
+        # one line per call, appended by whichever process runs the row
+        with open(log, "a") as f:
+            f.write(f"{dims[As.shape[0]]} {kwargs['precond']}\n")
+        if dims[As.shape[0]] == "0.0" and kwargs["precond"] == "ilu0":
             raise ZeroPivotError(7)
-        return real(*args, **kwargs)
+        return real(As, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "pcg", fail_first_call)
-    out = tmp_path / "o"
-    code = main(["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03",
-                 "--out", str(out)])
-    assert code == 0
-    assert calls == ["ilu0", "jacobi", "ilu0"]
-    err = capsys.readouterr().err
-    assert ("ILU(0)-PCG failed at z_c = 0.0 (ZeroPivotError: ILU(0) breakdown: "
-            "zero pivot in row 7); pcg_iters is from Jacobi-PCG") in err
-    assert "z_c = 0.03" not in err
-    header, rows = read_csv(out / "conditioning.csv")
-    assert header == CONDITIONING_COLUMNS
-    assert all(int(r[11]) >= 1 for r in rows)
+    monkeypatch.setattr(cli, "pcg", fail_ilu0_at_zero)
+    # the Jacobi-PCG count on the right-hand side of the z_c = 0 row, drawn
+    # from a fresh default_rng(seed)
+    _, surface = cli._sphere_surface(0.5, 0.0)
+    As, _ = diag_scale(assemble_stiffness(surface))
+    v = np.random.default_rng(0).standard_normal(As.shape[0])
+    v /= cli._norm(v)
+    _, jacobi = real(As, As @ v, tol=cli.PCG_TOL, precond="jacobi")
+    capsys.readouterr()
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code = main(args + ["--out", str(out)])
+        assert code == 0
+        calls = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        assert [p for zc, p in calls if zc == "0.0"] == ["ilu0", "jacobi"]
+        assert [p for zc, p in calls if zc == "0.03"] == ["ilu0"]
+        err = capsys.readouterr().err
+        assert err == ("ILU(0)-PCG failed at z_c = 0.0 (ZeroPivotError: "
+                       "ILU(0) breakdown: zero pivot in row 7); pcg_iters is "
+                       "from Jacobi-PCG\n")
+        header, rows = read_csv(out / "conditioning.csv")
+        assert header == CONDITIONING_COLUMNS
+        assert all(int(r[11]) >= 1 for r in rows)
+        # only the z_c = 0 row's pcg_iters moves, to the Jacobi-PCG count
+        assert rows[1] == ref_rows[1]
+        assert rows[0][:11] == ref_rows[0][:11]
+        assert int(rows[0][11]) == jacobi.iterations
 
 
 def test_conditioning_gate_h8(tmp_path):
@@ -378,7 +421,7 @@ def test_conditioning_gate_h8(tmp_path):
                  "0.03,0.0005,0", "--seed", "0", "--out", str(out)])
     assert code == 0
     _, rows = read_csv(out / "conditioning.csv")
-    assert [int(r[11]) for r in rows] == [130, 137, 78]
+    assert [int(r[11]) for r in rows] == [130, 136, 79]
     np.testing.assert_allclose(
         [float(r[10]) for r in rows],
         [4275.068255357686, 4962042.101812679, 2517035705.807006], rtol=1e-6)
@@ -415,6 +458,120 @@ def test_conditioning_deterministic_rerun(tmp_path):
     before = (out / "conditioning.csv").read_bytes()
     assert main(args) == 0
     assert (out / "conditioning.csv").read_bytes() == before
+
+
+def test_conditioning_row_does_not_depend_on_its_position(tmp_path):
+    # Each row draws its right-hand side from a fresh default_rng(seed), so
+    # a z_c gives the same row wherever it stands in the list.
+    rows = {}
+    for zcs in ("0.03,0", "0,0.02,0.03"):
+        out = tmp_path / zcs
+        assert main(["conditioning", "--h", "0.125", "--zc-list", zcs,
+                     "--out", str(out)]) == 0
+        rows[zcs] = {r[0]: r for r in read_csv(out / "conditioning.csv")[1]}
+    assert rows["0.03,0"]["0.03"] == rows["0,0.02,0.03"]["0.03"]
+    assert rows["0.03,0"]["0.0"] == rows["0,0.02,0.03"]["0.0"]
+
+
+def test_conditioning_outputs_same_in_process_and_in_workers(tmp_path,
+                                                            monkeypatch):
+    argv = ["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0",
+            "--export", "mm"]
+    real = cli.quality_report
+    pid_log = tmp_path / "pids"
+
+    def record_pid(*args, **kwargs):
+        with open(pid_log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "quality_report", record_pid)
+    outputs, pids = {}, {}
+    for n in (1, 2):
+        _use_cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "config.json"}
+        pids[n] = set(pid_log.read_text().split())
+        pid_log.unlink()
+    assert pids[1] == {str(os.getpid())}
+    assert str(os.getpid()) not in pids[2] and 1 <= len(pids[2]) <= 2
+    assert sorted(outputs[1]) == [
+        "conditioning.csv", "stiffness_scaled_zc0.0.mtx",
+        "stiffness_scaled_zc0.0005.mtx", "stiffness_scaled_zc0.03.mtx"]
+    assert outputs[1] == outputs[2]
+
+
+def test_conditioning_leaves_no_child_process(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    assert main(["conditioning", "--h", "0.5", "--zc-list", "0.03,0",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--zc-list", "0,10"],
+     "the level set does not cut the mesh (empty surface)"),
+    (["--zc-list", "0,0.03", "--seed", "-1"], "expected non-negative integer"),
+], ids=["empty-surface", "negative-seed"])
+def test_conditioning_row_error_exits_1(flags, message, tmp_path, capsys,
+                                        monkeypatch):
+    # an error raised in a worker ends as on the in-process path
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["conditioning", "--h", "0.5", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "conditioning.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+def test_conditioning_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = cli._sphere_surface
+
+    def die_in_worker(h, zc):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(h, zc)
+
+    monkeypatch.setattr(cli, "_sphere_surface", die_in_worker)
+    out = tmp_path / "o"
+    assert main(["conditioning", "--h", "0.5", "--zc-list", "0.03,0",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ")
+    assert err.count("\n") == 1
+    assert not (out / "conditioning.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_conditioning_failure_cancels_queued_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    # Two workers and ten rows; the first row fails at once.  The rows a
+    # worker already holds still run: at most 2 running and 3 in the pool's
+    # call queue.  The other four are cancelled and never start.
+    _use_cpus(monkeypatch, 2)
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def fail(h, zc):
+        if zc == 0.0:
+            raise ValueError("the first row failed")
+        (started / repr(zc)).touch()
+        time.sleep(0.3)
+        raise ValueError(f"the row at z_c = {zc} failed")
+
+    monkeypatch.setattr(cli, "_sphere_surface", fail)
+    zcs = ",".join(["0"] + [f"0.00{i}" for i in range(1, 10)])
+    assert main(["conditioning", "--h", "0.5", "--zc-list", zcs,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: the first row failed\n"
+    assert len(list(started.iterdir())) <= 5
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

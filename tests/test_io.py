@@ -235,7 +235,7 @@ SOLVER_REPORT_SHA256 = {
     "conditioning.csv": (
         ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0.0005,0",
          "--seed", "0"],
-        "c4b618d77d1a5001923a61a2214d057ad337dffff44599209e1980651e0ad319"),
+        "c0fe3c23469ac1947a66a51e8f97a97d1a88e81cc56f2c60b05668dd4f3ecad8"),
     "massbound.csv": (
         ["massbound", "--h-list", "0.5,0.25,0.125"],
         "2131d5ab8dd1264f050fc011e6cf225f86c2bec4f4d11c63eb6d3401c5425c82"),

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -368,6 +369,20 @@ def test_ilu0_zero_pivot():
     with pytest.raises(ZeroPivotError, match="zero pivot in row 1") as exc:
         ilu0_factor(A)
     assert exc.value.row == 1
+
+
+@pytest.mark.parametrize("exc", [
+    ZeroPivotError(7), ZeroPivotError(7, structural=True),
+    EigNonConvergence("lambda_max estimate not converged", best=2.5),
+    EigNonConvergence("lambda_2 estimate not converged"),
+], ids=["zero", "structural", "eig-best", "eig-no-best"])
+def test_solver_errors_survive_pickling(exc):
+    # A conditioning row that runs in a worker process sends its error back
+    # pickled; it must arrive with the same message and fields.
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
 
 
 def _raised(factor, A, modified):
