@@ -4,8 +4,8 @@ A level-set spec evaluates phi on arbitrary points; its zero set is the
 surface of interest.  Interpolating phi at mesh nodes gives the piecewise
 linear field whose zero set the extractor triangulates.  Exact nodal zeros
 are snapped to a small positive value so every tet has a strict sign
-pattern.  A sphere spec also projects points onto its surface
-(``spec.closest_point``), which extends surface functions off the surface.
+pattern.  Only :class:`SphereLevelSet` has geometry (signed distance,
+normals, closest points); :class:`AnalyticLevelSet` is a bare phi.
 """
 
 from __future__ import annotations
@@ -49,19 +49,12 @@ class SphereLevelSet:
             raise ValueError(f"center must be finite, got {tuple(c.tolist())}")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
-    @property
-    def supports_distance(self) -> bool:
-        return True
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         # A distance past the float range becomes inf, which the caller's
         # finiteness check rejects, without an overflow warning first.
         with np.errstate(over="ignore"):
             return norm3(p - self.center) - self.radius
-
-    # phi already is the signed distance
-    signed_distance = evaluate
 
     def normal(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
@@ -77,41 +70,18 @@ class SphereLevelSet:
 
 @dataclass(frozen=True)
 class AnalyticLevelSet:
-    """Level set given by a callable phi; distance/normal handles optional.
+    """Level set given by a callable phi.
 
     ``fn`` maps (..., 3) point arrays to (...) values and must be
     pointwise: :func:`interpolate_nodal` samples a lattice one z-plane per
     call, in a buffer it reuses, so each call sees only part of the grid
-    and must not keep its argument.  If ``distance`` and
-    ``normal`` are provided, geometric-assumption checks become available;
-    closest-point projection is not supported for generic level sets.
+    and must not keep its argument.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    distance: Callable[[np.ndarray], np.ndarray] | None = None
-    normal_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def supports_distance(self) -> bool:
-        return self.distance is not None and self.normal_fn is not None
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
-
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        if self.distance is None:
-            raise ValueError("this level set does not provide a distance handle")
-        return np.asarray(self.distance(np.asarray(points, dtype=float)), dtype=float)
-
-    def normal(self, points: np.ndarray) -> np.ndarray:
-        if self.normal_fn is None:
-            raise ValueError("this level set does not provide a normal handle")
-        return np.asarray(self.normal_fn(np.asarray(points, dtype=float)), dtype=float)
-
-    def closest_point(self, points: np.ndarray) -> np.ndarray:
-        raise ValueError(
-            "closest-point projection is only available for sphere level sets"
-        )
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Angle statistics and geometric-assumption checks for extracted surfaces.
 
 The quality report collects the angle extremes and histogram of a surface
-triangulation plus, when the level set provides distance and normal
-handles, the residuals of the two geometric closeness assumptions: maximum
-surface-to-zero-set distance (expected ~ h^2) and maximum deviation of the
-discrete triangle normals from the exact ones (expected ~ h).
+triangulation plus, for a :class:`~levelsurf.level_set.SphereLevelSet`,
+the residuals of the two geometric closeness assumptions: maximum
+surface-to-sphere distance (expected ~ h^2) and maximum deviation of the
+discrete triangle normals from the exact ones (expected ~ h).  Over a
+refinement sequence, :func:`assumption_residuals` fits the orders of both.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .level_set import SphereLevelSet
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
@@ -55,8 +57,8 @@ class QualityReport:
 
     Angles are in degrees.  ``count_below_1deg`` counts triangles whose
     smallest angle is below one degree.  ``max_dist`` and
-    ``max_normal_dev`` are NaN when the level set cannot provide distance
-    and normal handles (``assumptions_checked`` False).
+    ``max_normal_dev`` are NaN unless the spec is a sphere
+    (``assumptions_checked`` False).
     """
 
     n_vertices: int
@@ -73,26 +75,12 @@ class QualityReport:
         return asdict(self)
 
 
-def _assumption_maxima(surface: SurfaceMesh, spec, p: np.ndarray,
-                       normals: np.ndarray) -> tuple[float, float]:
-    """(max distance sampled at vertices+barycenters, max normal deviation).
-
-    ``p`` are the triangle corners (F, 3, 3) and ``normals`` the unit
-    triangle normals (F, 3) of ``surface``.
-    """
-    bary = p.mean(axis=1)
-    d_v = np.abs(spec.signed_distance(surface.vertices))
-    d_b = np.abs(spec.signed_distance(bary))
-    max_dist = float(max(d_v.max(initial=0.0), d_b.max(initial=0.0)))
-    dev = norm3(spec.normal(bary) - normals)
-    return max_dist, float(dev.max(initial=0.0))
-
-
 def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
     """Angle statistics, histogram and geometric-assumption residuals.
 
-    ``spec`` is optional; without distance/normal support the assumption
-    residuals are reported as NaN with ``assumptions_checked`` False.
+    The residuals (distance at vertices and barycenters, normal deviation
+    at barycenters) need a :class:`SphereLevelSet` ``spec``; any other
+    spec, None included, leaves them NaN with ``assumptions_checked`` False.
     """
     if surface.n_triangles == 0:
         return QualityReport(
@@ -113,9 +101,14 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
         count_below_1deg=int((ang.min(axis=1) < 1.0).sum()),
         angle_histogram=[int(c) for c in hist],
     )
-    if spec is not None and getattr(spec, "supports_distance", False):
-        report.max_dist, report.max_normal_dev = _assumption_maxima(
-            surface, spec, p, n / two_area[:, None])
+    if isinstance(spec, SphereLevelSet):
+        bary = p.mean(axis=1)
+        # phi of a sphere is its signed distance
+        d_v = np.abs(spec.evaluate(surface.vertices))
+        d_b = np.abs(spec.evaluate(bary))
+        report.max_dist = float(max(d_v.max(), d_b.max()))
+        dev = norm3(spec.normal(bary) - n / two_area[:, None])
+        report.max_normal_dev = float(dev.max())
         report.assumptions_checked = True
     return report
 
@@ -124,9 +117,9 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
 class AssumptionResiduals:
     """Residuals of the closeness assumptions over a refinement sequence.
 
-    ``rows`` holds (h, max_dist, max_normal_dev) per level.  Slopes are
-    least-squares fits of log(residual) against log(h); inf marks an exact
-    fit (all residuals ~ 0, e.g. affine level sets).
+    ``rows`` holds (h, max_dist, max_normal_dev) per level, as
+    :func:`quality_report` gives them.  Slopes are least-squares fits of
+    log(residual) against log(h).
     """
 
     rows: list[tuple[float, float, float]]
@@ -135,10 +128,6 @@ class AssumptionResiduals:
 
 
 def _loglog_slope(h: np.ndarray, e: np.ndarray) -> float:
-    # Residuals at the roundoff floor mean the surface is reproduced
-    # exactly (affine level sets); a fitted slope would be noise.
-    if np.any(e <= 1e-12):
-        return float("inf")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
@@ -146,19 +135,21 @@ def assumption_residuals(levels, spec) -> AssumptionResiduals:
     """Evaluate max_dist and max_normal_dev across a surface sequence.
 
     ``levels`` is an iterable of (h, SurfaceMesh) pairs; at least two are
-    required (three or more give meaningful slopes).  The spec must provide
-    distance and normal handles.
+    required (three or more give meaningful slopes).  The spec must be a
+    :class:`SphereLevelSet`, and a level with an empty surface raises
+    ValueError: it has no residual to fit.
     """
     pairs = list(levels)
     if len(pairs) < 2:
         raise ValueError("need at least two refinement levels")
-    if not getattr(spec, "supports_distance", False):
-        raise ValueError("level set does not provide distance/normal handles")
+    if not isinstance(spec, SphereLevelSet):
+        raise ValueError("assumption residuals need a SphereLevelSet spec")
     rows = []
     for h, surf in pairs:
-        md, mn = _assumption_maxima(surf, spec, surf.tri_coords(),
-                                    surf.normals())
-        rows.append((float(h), md, mn))
+        rep = quality_report(surf, spec)
+        if rep.n_triangles == 0:
+            raise ValueError(f"surface at h = {h} is empty")
+        rows.append((float(h), rep.max_dist, rep.max_normal_dev))
     arr = np.asarray(rows)
     return AssumptionResiduals(
         rows=rows,

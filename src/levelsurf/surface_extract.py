@@ -83,9 +83,6 @@ class SurfaceMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def tri_coords(self) -> np.ndarray:
-        return self.vertices[self.triangles]
-
     def tri_geometry(self, nondegenerate: bool = False,
                      rows: slice = slice(None)):
         """Corners p (F, 3, 3), n = (p1 - p0) x (p2 - p0) and |n| = 2 |T|.
@@ -206,10 +203,11 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
     cut tet's triple product picks row c or 15 - c.  Triangles come one
     (or two quad halves) per cut tet in increasing tet id, vertices by
     grid-edge key, so the result is a pure function of the inputs.  A
-    field with one sign everywhere yields an empty surface; exact nodal
-    zeros and cut tets of zero volume raise ValueError.
+    field with one sign everywhere yields an empty surface; a field
+    sampled on another mesh, exact nodal zeros and cut tets of zero volume
+    raise ValueError.
     """
-    if field.mesh is not mesh and field.mesh.n_nodes != mesh.n_nodes:
+    if field.mesh is not mesh:
         raise ValueError("field does not match the mesh")
     vals = field.values
     if np.any(vals == 0.0):
@@ -268,9 +266,12 @@ def plane_residuals(mesh: TetMesh, field: NodalField,
     result is (F, 3).  All residuals vanish up to roundoff for a correct
     extraction; this stays well conditioned even for sliver triangles,
     unlike a plane fitted through three nearly collinear corners.  A
-    ``tri_parent`` outside [0, mesh.n_tets), such as the -1 of a surface
-    built without provenance, raises ValueError.
+    field sampled on another mesh, or a ``tri_parent`` outside
+    [0, mesh.n_tets), such as the -1 of a surface built without
+    provenance, raises ValueError.
     """
+    if field.mesh is not mesh:
+        raise ValueError("field does not match the mesh")
     parent = surface.tri_parent
     if parent.size and (parent.min() < 0 or parent.max() >= mesh.n_tets):
         raise ValueError("surface triangles have no parent tet in this mesh")

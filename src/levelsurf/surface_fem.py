@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .level_set import SurfaceFunction
+from .level_set import SphereLevelSet, SurfaceFunction
 from .sparse_linalg import CondEstimate, _lanczos, _norm, eig_extreme, pcg
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
@@ -58,6 +58,13 @@ TRI_QP_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 _QUAD_BLOCK = 4096
 
 
+def _closest_points(spec, points: np.ndarray) -> np.ndarray:
+    if not isinstance(spec, SphereLevelSet):
+        raise ValueError(
+            "closest-point extension needs a SphereLevelSet spec or None")
+    return spec.closest_point(points)
+
+
 def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
     """Values of u's extension, u(closest point of spec), at ambient points.
 
@@ -65,7 +72,7 @@ def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarra
     flat test patches where the extension is the identity).
     """
     if spec is not None:
-        points = spec.closest_point(points)
+        points = _closest_points(spec, points)
     return np.asarray(u.value(points), dtype=float)
 
 
@@ -79,7 +86,7 @@ def _extension_gradients(u: SurfaceFunction, spec,
     """
     if spec is None:
         return np.asarray(u.gradient(points), dtype=float)
-    g = np.asarray(u.gradient(spec.closest_point(points)), dtype=float)
+    g = np.asarray(u.gradient(_closest_points(spec, points)), dtype=float)
     yh = spec.normal(points)
     g = g - yh * np.einsum("...j,...j->...", g, yh)[..., None]
     return (spec.radius / norm3(points - spec.center))[..., None] * g

@@ -37,7 +37,6 @@ def test_sphere_signed_distance():
     spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
     pts = np.array([[2, 0, 0], [0.5, 0, 0], [0, 1, 0]], dtype=float)
     npt.assert_allclose(spec.evaluate(pts), [1.0, -0.5, 0.0], atol=1e-15)
-    npt.assert_allclose(spec.signed_distance(pts), spec.evaluate(pts))
 
 
 def test_sphere_shifted_center():
@@ -265,24 +264,6 @@ def test_analytic_level_set_affine():
     spec = AnalyticLevelSet(lambda p: p @ a + b)
     pts = np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 1.0]])
     npt.assert_allclose(spec.evaluate(pts), pts @ a + b)
-    assert not spec.supports_distance
-    with pytest.raises(ValueError):
-        spec.closest_point(pts)
-    with pytest.raises(ValueError):
-        spec.signed_distance(pts)
-
-
-def test_analytic_level_set_with_handles():
-    a = np.array([0.0, 0.0, 1.0])
-    spec = AnalyticLevelSet(
-        lambda p: p @ a,
-        distance=lambda p: p @ a,
-        normal_fn=lambda p: np.broadcast_to(a, p.shape),
-    )
-    assert spec.supports_distance
-    pts = np.array([[5.0, 1.0, -2.0]])
-    npt.assert_allclose(spec.signed_distance(pts), [-2.0])
-    npt.assert_allclose(spec.normal(pts), [[0, 0, 1]])
 
 
 def test_surface_function_gradient_optional():

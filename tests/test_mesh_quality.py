@@ -116,10 +116,11 @@ def test_count_below_1deg_recount(sphere_h8_shifted):
 
 def test_report_without_spec(sphere_h4):
     _, surf = sphere_h4
-    rep = quality_report(surf)
-    assert not rep.assumptions_checked
-    assert np.isnan(rep.max_dist) and np.isnan(rep.max_normal_dev)
-    assert rep.phi_max_deg > 0.0
+    for spec in (None, AnalyticLevelSet(lambda p: p[..., 0])):
+        rep = quality_report(surf, spec)
+        assert not rep.assumptions_checked
+        assert np.isnan(rep.max_dist) and np.isnan(rep.max_normal_dev)
+        assert rep.phi_max_deg > 0.0
 
 
 def test_rigid_motion_invariance(sphere_h4):
@@ -164,25 +165,16 @@ def test_assumption_slopes_sphere():
     assert d[0] / d[1] > 2.5 and d[1] / d[2] > 2.5
 
 
-def test_assumption_residuals_affine_exact():
-    a = np.array([0.25, -1.0, 0.5])
-    a_norm = np.linalg.norm(a)
-    spec = AnalyticLevelSet(
-        lambda p: p @ a + 0.3,
-        distance=lambda p: (p @ a + 0.3) / a_norm,
-        normal_fn=lambda p: np.broadcast_to(a / a_norm, p.shape),
-    )
+def test_assumption_residuals_reject_an_empty_level():
+    # the far sphere misses the mesh: no residual, so no slope to fit
     levels = []
-    for h in (0.5, 0.25):
+    for h, center in ((0.5, (0.0, 0.0, 0.0)), (0.25, (10.0, 0.0, 0.0))):
         mesh = build_uniform_mesh(BOX, h)
-        field = snap_small_values(interpolate_nodal(spec, mesh))
-        levels.append((h, extract_surface(mesh, field)))
-    res = assumption_residuals(levels, spec)
-    for _, md, mn in res.rows:
-        assert md <= 1e-12
-        assert mn <= 1e-12
-    assert res.slope_dist == float("inf")     # exact-fit sentinel
-    assert res.slope_normal == float("inf")
+        field = interpolate_nodal(SphereLevelSet(center=center), mesh)
+        levels.append((h, extract_surface(mesh, snap_small_values(field))))
+    assert levels[0][1].n_triangles > 0 and levels[1][1].n_triangles == 0
+    with pytest.raises(ValueError, match="h = 0.25 is empty"):
+        assumption_residuals(levels, SphereLevelSet())
 
 
 def test_assumption_residuals_needs_two_levels(sphere_h4):
@@ -194,5 +186,5 @@ def test_assumption_residuals_needs_two_levels(sphere_h4):
 def test_assumption_residuals_needs_distance(sphere_h4):
     _, surf = sphere_h4
     spec = AnalyticLevelSet(lambda p: p[:, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a SphereLevelSet"):
         assumption_residuals([(0.25, surf), (0.125, surf)], spec)

@@ -129,7 +129,7 @@ def test_sphere_topology(case, sphere_h4, sphere_h8, sphere_h8_shifted):
 
 def test_sphere_normals_outward(sphere_h8):
     spec, surf = sphere_h8
-    bary = surf.tri_coords().mean(axis=1)
+    bary = surf.vertices[surf.triangles].mean(axis=1)
     out = bary - np.asarray(spec.center)
     assert (np.einsum("ij,ij->i", surf.normals(), out) > 0.0).all()
 
@@ -376,6 +376,17 @@ def test_extract_rejects_nodal_zeros_and_a_foreign_field():
         interpolate_nodal(SphereLevelSet(), build_uniform_mesh(BOX, 0.25)))
     with pytest.raises(ValueError, match="does not match the mesh"):
         extract_surface(mesh, fine)
+    # a lattice of the same 9^3 nodes, its sphere centred in its own box
+    shifted = build_uniform_mesh(BoxDomain((0, 0, 0), (4, 4, 4)), 0.5)
+    assert shifted.n_nodes == mesh.n_nodes
+    field = snap_small_values(
+        interpolate_nodal(SphereLevelSet(center=(2.0, 2.0, 2.0)), shifted))
+    surf = extract_surface(shifted, field)
+    for other in (mesh, build_uniform_mesh(BOX, 1.0)):
+        with pytest.raises(ValueError, match="does not match the mesh"):
+            extract_surface(other, field)
+        with pytest.raises(ValueError, match="does not match the mesh"):
+            plane_residuals(other, field, surf)
 
 
 # SHA-256 of the integer arrays of the sphere surface on BOX, pinned so

@@ -443,9 +443,10 @@ def test_extension_gradient_matches_fourth_order_difference(seed):
 
 def test_extension_gradient_needs_a_sphere():
     spec = AnalyticLevelSet(fn=lambda p: p[..., 2])
-    with pytest.raises(ValueError, match="closest-point"):
-        surface_fem._extension_gradients(product_arctan_function(), spec,
-                                         np.ones((2, 3)))
+    for extension in (surface_fem._extension_values,
+                      surface_fem._extension_gradients):
+        with pytest.raises(ValueError, match="closest-point"):
+            extension(product_arctan_function(), spec, np.ones((2, 3)))
 
 
 def _h1_error_chain_rule(u, sphere, surface, coeffs):
@@ -454,7 +455,7 @@ def _h1_error_chain_rule(u, sphere, surface, coeffs):
     D(u o p)(x) = (r/|x-c|) (I - yhat yhat^T) Du(p(x)); the error integrand
     compares its in-plane part with the P1 gradient solved per triangle.
     """
-    p = surface.tri_coords()
+    p = surface.vertices[surface.triangles]
     e0, e1 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     n = np.cross(e0, e1)
     two_area = np.linalg.norm(n, axis=1)
