@@ -14,15 +14,17 @@ surface function ``SURFACE_FUNCTION`` = product-arctan and the PCG
 tolerance ``PCG_TOL`` = 1e-8.  Only mesh sizes, z_c, the seed and the
 reference-matrix size are set on the command line.
 
-``conditioning`` runs its rows in forked worker processes, one per usable
-CPU up to the number of rows, and in this process when one is enough.  A
-row is a function of (h, z_c, seed) alone: its PCG right-hand side comes
-from ``--seed`` and not from the rows before it, so the outputs do not
+``conditioning`` and ``refmatrix`` run their rows in forked worker
+processes, one per usable CPU up to the number of rows, and in this
+process when one is enough.  A ``conditioning`` row is a function of
+(h, z_c, seed) alone: its PCG right-hand side comes from ``--seed`` and
+not from the rows before it.  A ``refmatrix`` row is one preconditioner's
+PCG solve of the one system the command builds.  So the outputs do not
 depend on the worker count.  Peak memory is per worker.
 
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
-whose effective condition number did not converge, 1 operational error
-(including a solver failure outside that row).
+whose effective condition number or PCG solve did not converge, 1
+operational error (including any other solver failure).
 Every run writes ``config.json`` (the resolved configuration) next to its
 outputs; reruns with identical inputs produce byte-identical files.
 """
@@ -317,10 +319,10 @@ def _row_map(n_rows: int):
 def _conditioning_row(args: argparse.Namespace, zc: float):
     """One ``conditioning`` row, a function of (h, z_c, seed) alone.
 
-    Returns the row, whether cond_As_eff converged and the row's notes for
-    stderr.  The PCG right-hand side is A^s v for a unit v drawn from a
-    fresh ``default_rng(seed)``, so a row is the same wherever it stands in
-    the list.
+    Returns the row, whether cond_As_eff converged, whether PCG converged
+    and the row's notes for stderr.  The PCG right-hand side is A^s v for a
+    unit v drawn from a fresh ``default_rng(seed)``, so a row is the same
+    wherever it stands in the list.
     """
     rng = np.random.default_rng(args.seed)
     spec, surface = _sphere_surface(args.h, zc)
@@ -329,11 +331,11 @@ def _conditioning_row(args: argparse.Namespace, zc: float):
     As, d = diag_scale(assemble_stiffness(surface))
     kernel = np.sqrt(d)
     kernel /= _norm(kernel)
-    converged = True
+    eig_converged = True
     try:
         cond_as = effective_cond(As, kernel).cond
     except EigNonConvergence:
-        cond_as, converged = float("nan"), False
+        cond_as, eig_converged = float("nan"), False
     v = rng.standard_normal(As.shape[0])
     v /= _norm(v)
     notes = []
@@ -352,7 +354,7 @@ def _conditioning_row(args: argparse.Namespace, zc: float):
             args.out, f"stiffness_scaled_zc{lsio.fmt(zc)}.mtx"), As)
     row = (_quality_row(zc, report)
            + [As.shape[0], cond_ms, cond_as, stats.iterations])
-    return row, converged, notes
+    return row, eig_converged, stats.converged, notes
 
 
 def cmd_conditioning(args: argparse.Namespace) -> int:
@@ -361,20 +363,29 @@ def cmd_conditioning(args: argparse.Namespace) -> int:
     rows = []
     unconverged = []
     with _row_map(len(zcs)) as row_map:
-        for zc, (row, converged, notes) in zip(
+        for zc, (row, eig_converged, pcg_converged, notes) in zip(
                 zcs, row_map(_conditioning_row, [args] * len(zcs), zcs)):
             for note in notes:
                 print(note, file=sys.stderr)
             rows.append(row)
-            if not converged:
-                unconverged.append(zc)
+            if not eig_converged:
+                unconverged.append(f"cond_As_eff did not converge at z_c = "
+                                   f"{lsio.fmt(zc)} (written as nan)")
+            if not pcg_converged:
+                unconverged.append(f"PCG did not converge at z_c = "
+                                   f"{lsio.fmt(zc)} (pcg_iters written as "
+                                   f"{row[-1]})")
     lsio.write_csv(os.path.join(out, "conditioning.csv"),
                    CONDITIONING_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {os.path.join(out, 'conditioning.csv')}")
-    for zc in unconverged:
-        print(f"cond_As_eff did not converge at z_c = {lsio.fmt(zc)} "
-              f"(written as nan)", file=sys.stderr)
+    for message in unconverged:
+        print(message, file=sys.stderr)
     return 2 if unconverged else 0
+
+
+def _refmatrix_row(A, b, precond: str):
+    """One ``refmatrix`` row: the PCG statistics of one preconditioner."""
+    return pcg(A, b, tol=PCG_TOL, precond=precond)[1]
 
 
 def cmd_refmatrix(args: argparse.Namespace) -> int:
@@ -384,13 +395,13 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
     v = rng.standard_normal(A.shape[0])
     v /= _norm(v)
     b = A @ v
-    rows = []
-    counts = {}
-    for precond in ["none", "jacobi", "ilu0", "milu0"]:
-        _, stats = pcg(A, b, tol=PCG_TOL, precond=precond)
-        counts[precond] = stats.iterations
-        rows.append([precond, stats.iterations, stats.relres,
-                     stats.converged])
+    preconds = ["none", "jacobi", "ilu0", "milu0"]
+    with _row_map(len(preconds)) as row_map:
+        stats = list(row_map(_refmatrix_row, [A] * len(preconds),
+                             [b] * len(preconds), preconds))
+    counts = {p: s.iterations for p, s in zip(preconds, stats)}
+    rows = [[p, s.iterations, s.relres, s.converged]
+            for p, s in zip(preconds, stats)]
     lsio.write_csv(os.path.join(out, "refmatrix.csv"),
                    REFMATRIX_COLUMNS, rows)
     nnz_per_row = np.diff(A.indptr)
@@ -408,7 +419,7 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
         lsio.write_matrix_market(os.path.join(out, "refmatrix.mtx"), A)
     print(f"dim = {A.shape[0]}, modal row nnz = {modal}; "
           f"PCG iterations: " + ", ".join(
-              f"{k} = {counts[k]}" for k in ["none", "jacobi", "ilu0", "milu0"])
+              f"{k} = {counts[k]}" for k in preconds)
           + f"; milu0 in band {list(PCG_ITER_BAND)}: {in_band}")
     return 0
 

@@ -31,7 +31,6 @@ from .tet_grid import TetMesh, corner_cross_dot, norm3
 
 __all__ = [
     "SurfaceMesh",
-    "split_quad",
     "extract_surface",
     "plane_residuals",
 ]
@@ -184,12 +183,6 @@ def _split_quads_batch(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
     idx = (m[:, None] + np.arange(4)[None, :]) % 4
     rot = np.take_along_axis(quad_ids, idx, axis=1)
     return rot[:, [[0, 1, 2], [0, 2, 3]]]
-
-
-def split_quad(quad_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Split one cyclic quad into two triangles (max-angle rule), (2, 3) ids."""
-    quad_ids = np.asarray(quad_ids, dtype=np.int64).reshape(1, 4)
-    return _split_quads_batch(quad_ids, np.asarray(points, dtype=float))[0]
 
 
 def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:

@@ -11,6 +11,7 @@ from levelsurf import (
     interpolate_nodal,
     snap_small_values,
 )
+from levelsurf.surface_extract import _split_quads_batch
 
 BOX = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -30,6 +31,12 @@ def sphere_surface(h, zc=0.0, radius=1.0, box=BOX):
     spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
     field = snap_small_values(interpolate_nodal(spec, mesh))
     return spec, extract_surface(mesh, field)
+
+
+def split_quad(quad_ids, points):
+    """Split one cyclic quad into two triangles (max-angle rule), (2, 3) ids."""
+    quad_ids = np.asarray(quad_ids, dtype=np.int64).reshape(1, 4)
+    return _split_quads_batch(quad_ids, np.asarray(points, dtype=float))[0]
 
 
 def refuse_mesh_arrays(monkeypatch):

@@ -22,7 +22,8 @@ from levelsurf.cli import (
     _order,
     main,
 )
-from levelsurf.sparse_linalg import EigNonConvergence, ZeroPivotError
+from levelsurf.sparse_linalg import (EigNonConvergence, SolveStats,
+                                     ZeroPivotError)
 from levelsurf.surface_fem import assemble_stiffness, diag_scale
 
 from conftest import refuse_mesh_arrays
@@ -364,6 +365,38 @@ def test_conditioning_unconverged_row_exits_2(tmp_path, capsys, monkeypatch):
         assert rows[1][10] == "nan"
 
 
+def test_conditioning_unconverged_pcg_row_exits_2(tmp_path, capsys,
+                                                  monkeypatch):
+    args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03"]
+    assert main(args + ["--out", str(tmp_path / "ref")]) == 0
+    _, ref_rows = read_csv(tmp_path / "ref" / "conditioning.csv")
+    real = cli.pcg
+    dim = _dim(0.5, 0.03)
+    assert dim != _dim(0.5, 0.0)
+
+    def stall_at_003(As, *args, **kwargs):
+        # as pcg reports a run that used up its n iterations
+        if As.shape[0] == dim:
+            return np.zeros(dim), SolveStats(dim, 0.5, False)
+        return real(As, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pcg", stall_at_003)
+    capsys.readouterr()
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code = main(args + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"PCG did not converge at z_c = "
+                                           f"0.03 (pcg_iters written as "
+                                           f"{dim})\n")
+        header, rows = read_csv(out / "conditioning.csv")
+        assert header == CONDITIONING_COLUMNS
+        assert rows[0] == ref_rows[0]
+        assert rows[1][:11] == ref_rows[1][:11]
+        assert rows[1][11] == str(dim)
+
+
 def test_conditioning_jacobi_fallback_is_reported(tmp_path, capsys,
                                                   monkeypatch):
     args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.03"]
@@ -473,82 +506,6 @@ def test_conditioning_row_does_not_depend_on_its_position(tmp_path):
     assert rows["0.03,0"]["0.0"] == rows["0,0.02,0.03"]["0.0"]
 
 
-def test_conditioning_outputs_same_in_process_and_in_workers(tmp_path,
-                                                            monkeypatch):
-    argv = ["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0",
-            "--export", "mm"]
-    real = cli.quality_report
-    pid_log = tmp_path / "pids"
-
-    def record_pid(*args, **kwargs):
-        with open(pid_log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "quality_report", record_pid)
-    outputs, pids = {}, {}
-    for n in (1, 2):
-        _use_cpus(monkeypatch, n)
-        out = tmp_path / f"cpus{n}"
-        assert main(argv + ["--out", str(out)]) == 0
-        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                      if p.name != "config.json"}
-        pids[n] = set(pid_log.read_text().split())
-        pid_log.unlink()
-    assert pids[1] == {str(os.getpid())}
-    assert str(os.getpid()) not in pids[2] and 1 <= len(pids[2]) <= 2
-    assert sorted(outputs[1]) == [
-        "conditioning.csv", "stiffness_scaled_zc0.0.mtx",
-        "stiffness_scaled_zc0.0005.mtx", "stiffness_scaled_zc0.03.mtx"]
-    assert outputs[1] == outputs[2]
-
-
-def test_conditioning_leaves_no_child_process(tmp_path, monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    assert main(["conditioning", "--h", "0.5", "--zc-list", "0.03,0",
-                 "--out", str(tmp_path / "o")]) == 0
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--zc-list", "0,10"],
-     "the level set does not cut the mesh (empty surface)"),
-    (["--zc-list", "0,0.03", "--seed", "-1"], "expected non-negative integer"),
-], ids=["empty-surface", "negative-seed"])
-def test_conditioning_row_error_exits_1(flags, message, tmp_path, capsys,
-                                        monkeypatch):
-    # an error raised in a worker ends as on the in-process path
-    for cpus in (1, 2):
-        _use_cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["conditioning", "--h", "0.5", *flags,
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "conditioning.csv").exists()
-        assert multiprocessing.active_children() == []
-
-
-def test_conditioning_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    parent = os.getpid()
-    real = cli._sphere_surface
-
-    def die_in_worker(h, zc):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(h, zc)
-
-    monkeypatch.setattr(cli, "_sphere_surface", die_in_worker)
-    out = tmp_path / "o"
-    assert main(["conditioning", "--h", "0.5", "--zc-list", "0.03,0",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a worker process died: ")
-    assert err.count("\n") == 1
-    assert not (out / "conditioning.csv").exists()
-    assert multiprocessing.active_children() == []
-
-
 def test_conditioning_failure_cancels_queued_rows(tmp_path, capsys,
                                                   monkeypatch):
     # Two workers and ten rows; the first row fails at once.  The rows a
@@ -630,6 +587,118 @@ def test_massbound(tmp_path, capsys):
         rtol=1e-12)
     assert [r[3] for r in rows] == ["3.965031918125352", "3.957488638536791",
                                     "3.9558498181229225"]
+
+
+# ---------------------------------------------------------------------------
+# rows in forked workers
+
+# A small run of each command that maps its rows through ``_row_map``, and
+# the function of ``cli`` that each of its rows calls: the tests wrap that
+# function to act from inside a row, in whichever process runs it.
+ROW_RUNS = {
+    "conditioning": ["conditioning", "--h", "0.5", "--zc-list", "0.03,0"],
+    "refmatrix": ["refmatrix", "--blocks", "12", "--block-size", "12",
+                  "--export", "mm"],
+}
+ROW_CALLS = {"conditioning": "_sphere_surface", "refmatrix": "pcg"}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0",
+      "--export", "mm"],
+     ["conditioning.csv", "stiffness_scaled_zc0.0.mtx",
+      "stiffness_scaled_zc0.0005.mtx", "stiffness_scaled_zc0.03.mtx"]),
+    (ROW_RUNS["refmatrix"],
+     ["refmatrix.csv", "refmatrix.json", "refmatrix.mtx"]),
+], ids=["conditioning", "refmatrix"])
+def test_outputs_same_in_process_and_in_workers(argv, files, tmp_path,
+                                                monkeypatch):
+    name = ROW_CALLS[argv[0]]
+    real = getattr(cli, name)
+    pid_log = tmp_path / "pids"
+
+    def record_pid(*args, **kwargs):
+        with open(pid_log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, record_pid)
+    outputs, pids = {}, {}
+    for n in (1, 2):
+        _use_cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "config.json"}
+        pids[n] = set(pid_log.read_text().split())
+        pid_log.unlink()
+    assert pids[1] == {str(os.getpid())}
+    assert str(os.getpid()) not in pids[2] and 1 <= len(pids[2]) <= 2
+    assert sorted(outputs[1]) == files
+    assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", sorted(ROW_RUNS))
+def test_leaves_no_child_process(command, tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    assert main(ROW_RUNS[command] + ["--out", str(tmp_path / "o")]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def _milu0_zero_pivot(monkeypatch):
+    real = cli.pcg
+
+    def fail_milu0(A, b, **kwargs):
+        if kwargs["precond"] == "milu0":
+            raise ZeroPivotError(7)
+        return real(A, b, **kwargs)
+
+    monkeypatch.setattr(cli, "pcg", fail_milu0)
+
+
+@pytest.mark.parametrize("argv, fake, message", [
+    (["conditioning", "--h", "0.5", "--zc-list", "0,10"], None,
+     "the level set does not cut the mesh (empty surface)"),
+    (["conditioning", "--h", "0.5", "--zc-list", "0,0.03", "--seed", "-1"],
+     None, "expected non-negative integer"),
+    (ROW_RUNS["refmatrix"], _milu0_zero_pivot,
+     "ILU(0) breakdown: zero pivot in row 7"),
+], ids=["conditioning-empty-surface", "conditioning-negative-seed",
+        "refmatrix-zero-pivot"])
+def test_row_error_exits_1(argv, fake, message, tmp_path, capsys,
+                           monkeypatch):
+    # an error raised in a worker ends as on the in-process path
+    if fake is not None:
+        fake(monkeypatch)
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / f"{argv[0]}.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", sorted(ROW_RUNS))
+def test_dead_worker_exits_1(command, tmp_path, capsys, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    name = ROW_CALLS[command]
+    real = getattr(cli, name)
+
+    def die_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, die_in_worker)
+    out = tmp_path / "o"
+    assert main(ROW_RUNS[command] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ")
+    assert err.count("\n") == 1
+    assert not (out / f"{command}.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

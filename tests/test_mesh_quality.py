@@ -14,11 +14,11 @@ from levelsurf.mesh_quality import (
     quality_report,
     triangle_angles,
 )
-from levelsurf.surface_extract import SurfaceMesh, extract_surface, split_quad
+from levelsurf.surface_extract import SurfaceMesh, extract_surface
 from levelsurf.surface_fem import assemble_stiffness
 from levelsurf.tet_grid import build_uniform_mesh, corner_cross_dot
 
-from conftest import BOX, sphere_surface
+from conftest import BOX, sphere_surface, split_quad
 
 
 def one_triangle(p):

@@ -18,7 +18,6 @@ from levelsurf.surface_extract import (
     SurfaceMesh,
     extract_surface,
     plane_residuals,
-    split_quad,
 )
 from levelsurf.tet_grid import (
     BoxDomain,
@@ -27,7 +26,7 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
-from conftest import BOX, refuse_mesh_arrays, sphere_surface
+from conftest import BOX, refuse_mesh_arrays, sphere_surface, split_quad
 
 # Single positively oriented reference tet (0,0,0),(1,0,0),(0,1,0),(0,0,1).
 REF_NODES = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
