@@ -17,9 +17,10 @@ reference-matrix size are set on the command line.
 ``conditioning`` and ``refmatrix`` run their rows in forked worker
 processes, one per usable CPU up to the number of rows, and in this
 process when one is enough.  A ``conditioning`` row is a function of
-(h, z_c, seed) alone: its PCG right-hand side comes from ``--seed`` and
+(h, seed, z_c) alone: its PCG right-hand side comes from ``--seed`` and
 not from the rows before it.  A ``refmatrix`` row is one preconditioner's
-PCG solve of the one system the command builds.  So the outputs do not
+PCG solve of the one system the command builds.  A row returns data and
+writes no file; this process writes every output.  So the outputs do not
 depend on the worker count.  Peak memory is per worker.
 
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
@@ -36,6 +37,7 @@ import contextlib
 import ctypes
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditioning", help="angle and conditioning table "
                        "over sphere shifts at fixed h")
-    _add_flags(p, "h", "zc-list", "seed", "out", "export", exports=("mm",))
+    _add_flags(p, "h", "zc-list", "seed", "out")
     p.set_defaults(h=0.0625)
 
     p = sub.add_parser("refmatrix", help="PCG iteration counts on the "
@@ -280,28 +282,26 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
-@contextlib.contextmanager
-def _row_map(n_rows: int):
-    """The ``map`` that runs ``n_rows`` independent rows, in list order.
+def _map_rows(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, in forked workers where that pays.
 
-    The builtin ``map`` when one worker is enough (one row, one usable CPU,
-    or no ``fork`` start method); otherwise the ``map`` of a pool of forked
-    processes, one per usable CPU up to ``n_rows``.  The pool is shut down,
-    its queued rows cancelled and its workers joined when the block exits.
-    A worker that dies ends as a ``ChildProcessError``.
+    In this process for one item, one usable CPU or no ``fork`` start
+    method; otherwise in a pool of min(items, usable CPUs) forked processes.
+    The pool is shut down, its queued items cancelled and its workers joined
+    before this returns or raises; a worker that dies ends as a
+    ``ChildProcessError``.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity mask on this platform
         cpus = 1
-    workers = min(n_rows, cpus)
+    workers = min(len(items), cpus)
     if workers > 1:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers <= 1:
-        yield map
-        return
+        return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     # fork, not spawn: a worker starts with numpy and scipy imported and
@@ -309,36 +309,39 @@ def _row_map(n_rows: int):
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        yield pool.map
+        return list(pool.map(fn, items))
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a worker process died: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _conditioning_row(args: argparse.Namespace, zc: float):
-    """One ``conditioning`` row, a function of (h, z_c, seed) alone.
+def _conditioning_row(h: float, seed: int, zc: float):
+    """One ``conditioning`` row, a function of (h, seed, z_c) alone.
 
-    Returns the row, whether cond_As_eff converged, whether PCG converged
-    and the row's notes for stderr.  The PCG right-hand side is A^s v for a
-    unit v drawn from a fresh ``default_rng(seed)``, so a row is the same
-    wherever it stands in the list.
+    Returns the row, its notes (an ILU(0)-PCG failure that Jacobi-PCG
+    replaced) and its failures (a cond_As_eff or PCG solve that did not
+    converge), each a list of stderr lines; it writes no file.  The PCG
+    right-hand side is A^s v for a unit v drawn from a fresh
+    ``default_rng(seed)``, so a row is the same wherever it stands in the
+    list.
     """
-    rng = np.random.default_rng(args.seed)
-    spec, surface = _sphere_surface(args.h, zc)
+    rng = np.random.default_rng(seed)
+    spec, surface = _sphere_surface(h, zc)
     report = quality_report(surface, spec)
     cond_ms = scaled_mass_cond(assemble_mass(surface)).cond
     As, d = diag_scale(assemble_stiffness(surface))
     kernel = np.sqrt(d)
     kernel /= _norm(kernel)
-    eig_converged = True
+    notes, failures = [], []
     try:
         cond_as = effective_cond(As, kernel).cond
     except EigNonConvergence:
-        cond_as, eig_converged = float("nan"), False
+        cond_as = float("nan")
+        failures.append(f"cond_As_eff did not converge at z_c = "
+                        f"{lsio.fmt(zc)} (written as nan)")
     v = rng.standard_normal(As.shape[0])
     v /= _norm(v)
-    notes = []
     # Plain ILU(0) for the (semidefinite) surface systems: the
     # row-compensated variant can turn singular row sums into
     # non-positive pivots.  Jacobi is the fallback of last resort.
@@ -349,38 +352,26 @@ def _conditioning_row(args: argparse.Namespace, zc: float):
                      f"({type(exc).__name__}: {exc}); "
                      f"pcg_iters is from Jacobi-PCG")
         _, stats = pcg(As, As @ v, tol=PCG_TOL, precond="jacobi")
-    if "mm" in args.export:
-        lsio.write_matrix_market(os.path.join(
-            args.out, f"stiffness_scaled_zc{lsio.fmt(zc)}.mtx"), As)
+    if not stats.converged:
+        failures.append(f"PCG did not converge at z_c = {lsio.fmt(zc)} "
+                        f"(pcg_iters written as {stats.iterations})")
     row = (_quality_row(zc, report)
            + [As.shape[0], cond_ms, cond_as, stats.iterations])
-    return row, eig_converged, stats.converged, notes
+    return row, notes, failures
 
 
 def cmd_conditioning(args: argparse.Namespace) -> int:
-    out = args.out
-    zcs = args.zc_list
-    rows = []
-    unconverged = []
-    with _row_map(len(zcs)) as row_map:
-        for zc, (row, eig_converged, pcg_converged, notes) in zip(
-                zcs, row_map(_conditioning_row, [args] * len(zcs), zcs)):
-            for note in notes:
-                print(note, file=sys.stderr)
-            rows.append(row)
-            if not eig_converged:
-                unconverged.append(f"cond_As_eff did not converge at z_c = "
-                                   f"{lsio.fmt(zc)} (written as nan)")
-            if not pcg_converged:
-                unconverged.append(f"PCG did not converge at z_c = "
-                                   f"{lsio.fmt(zc)} (pcg_iters written as "
-                                   f"{row[-1]})")
-    lsio.write_csv(os.path.join(out, "conditioning.csv"),
-                   CONDITIONING_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {os.path.join(out, 'conditioning.csv')}")
-    for message in unconverged:
-        print(message, file=sys.stderr)
-    return 2 if unconverged else 0
+    rows, notes, failures = zip(*_map_rows(
+        partial(_conditioning_row, args.h, args.seed), args.zc_list))
+    for line in sum(notes, []):
+        print(line, file=sys.stderr)
+    path = os.path.join(args.out, "conditioning.csv")
+    lsio.write_csv(path, CONDITIONING_COLUMNS, rows)
+    print(f"wrote {len(rows)} rows to {path}")
+    failures = sum(failures, [])
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _refmatrix_row(A, b, precond: str):
@@ -396,9 +387,7 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
     v /= _norm(v)
     b = A @ v
     preconds = ["none", "jacobi", "ilu0", "milu0"]
-    with _row_map(len(preconds)) as row_map:
-        stats = list(row_map(_refmatrix_row, [A] * len(preconds),
-                             [b] * len(preconds), preconds))
+    stats = _map_rows(partial(_refmatrix_row, A, b), preconds)
     counts = {p: s.iterations for p, s in zip(preconds, stats)}
     rows = [[p, s.iterations, s.relres, s.converged]
             for p, s in zip(preconds, stats)]

@@ -165,14 +165,18 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     precond : "none" | "jacobi" | "ilu0" | "milu0"
 
     The iteration starts from x = 0 and stops after at most n steps, n the
-    dimension of A.
+    dimension of A.  Each time the recursive residual passes ``tol``, the
+    true residual b - Ax either meets ``tol`` or replaces the recursive one
+    (residual replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22,
+    2000); a replaced residual no smaller than the last one ends the run.
 
     Returns
     -------
     (x, SolveStats)
         Iteration count, final true relative residual, and whether the
         tolerance was met.  Non-convergence is reported in the stats, not
-        raised; a breakdown (non-positive curvature) raises LinAlgError.
+        raised; a breakdown (curvature p.Ap <= 0, or r.z < 0 from an
+        indefinite preconditioner) raises LinAlgError naming which.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -192,6 +196,7 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     z = apply_M(r)
     p = z.copy()
     rz = _dot(r, z)
+    replaced = math.inf         # true residual at the last replacement
     for it in range(1, n + 1):
         Ap = A @ p
         pAp = _dot(p, Ap)
@@ -203,19 +208,23 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
         x += alpha * p
         r -= alpha * Ap
         if _norm(r) / bnorm <= tol:
-            true_rel = _norm(b - A @ x) / bnorm
-            if true_rel <= tol:
-                return x, SolveStats(it, true_rel, True)
+            r = b - A @ x
+            true_rel = _norm(r) / bnorm
+            if true_rel <= tol or true_rel >= replaced:
+                return x, SolveStats(it, true_rel, true_rel <= tol)
+            replaced = true_rel
         z = apply_M(r)
         rz_new = _dot(r, z)
-        if rz_new <= 0.0:
+        if rz_new < 0.0:
             raise np.linalg.LinAlgError(
                 f"PCG breakdown at iteration {it}: preconditioned product "
-                f"{rz_new:.3e} <= 0"
+                f"r.z = {rz_new:.3e} < 0"
             )
+        if rz_new == 0.0:       # r.z underflowed: no further step is defined
+            break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveStats(n, _norm(b - A @ x) / bnorm, False)
+    return x, SolveStats(it, _norm(b - A @ x) / bnorm, False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ are split along the diagonal at their largest inner angle, which keeps all
 surface angles bounded away from pi.
 
 :func:`extract_surface` returns the :class:`SurfaceMesh`, one triangle or
-two quad halves per cut tet in tet order; :func:`plane_residuals` checks
-its corners against the parent tets' zero planes.
+two quad halves per cut tet in tet order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .tet_grid import TetMesh, corner_cross_dot, norm3
 __all__ = [
     "SurfaceMesh",
     "extract_surface",
-    "plane_residuals",
 ]
 
 
@@ -248,30 +246,3 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
         tri_from_quad=np.repeat(quad, 1 + quad),
         h=mesh.h,
     )
-
-
-def plane_residuals(mesh: TetMesh, field: NodalField,
-                    surface: SurfaceMesh) -> np.ndarray:
-    """Distance of every triangle corner from its parent tet's zero plane.
-
-    The cut plane inside a tet is {phi_h = 0} with phi_h linear, so the
-    residual is |phi_h(x)| / |grad phi_h| evaluated on the parent tet; the
-    result is (F, 3).  All residuals vanish up to roundoff for a correct
-    extraction; this stays well conditioned even for sliver triangles,
-    unlike a plane fitted through three nearly collinear corners.  A
-    field sampled on another mesh, or a ``tri_parent`` outside
-    [0, mesh.n_tets), such as the -1 of a surface built without
-    provenance, raises ValueError.
-    """
-    if field.mesh is not mesh:
-        raise ValueError("field does not match the mesh")
-    parent = surface.tri_parent
-    if parent.size and (parent.min() < 0 or parent.max() >= mesh.n_tets):
-        raise ValueError("surface triangles have no parent tet in this mesh")
-    tet_nodes = mesh.tet_nodes(parent)
-    p = mesh.node_coords(tet_nodes)
-    f = field.values[tet_nodes]
-    g = np.linalg.solve(p[:, 1:] - p[:, :1], (f[:, 1:] - f[:, :1])[..., None])[..., 0]
-    x = surface.vertices[surface.triangles] - p[:, :1]
-    phi = f[:, :1] + np.einsum("ik,ijk->ij", g, x)
-    return np.abs(phi) / norm3(g)[:, None]

@@ -12,6 +12,7 @@ from levelsurf import (
     snap_small_values,
 )
 from levelsurf.surface_extract import _split_quads_batch
+from levelsurf.tet_grid import norm3
 
 BOX = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -37,6 +38,32 @@ def split_quad(quad_ids, points):
     """Split one cyclic quad into two triangles (max-angle rule), (2, 3) ids."""
     quad_ids = np.asarray(quad_ids, dtype=np.int64).reshape(1, 4)
     return _split_quads_batch(quad_ids, np.asarray(points, dtype=float))[0]
+
+
+def plane_residuals(mesh, field, surface):
+    """Distance of every triangle corner from its parent tet's zero plane.
+
+    The cut plane inside a tet is {phi_h = 0} with phi_h linear, so the
+    residual is |phi_h(x)| / |grad phi_h| evaluated on the parent tet; the
+    result is (F, 3).  All residuals vanish up to roundoff for a correct
+    extraction; this stays well conditioned even for sliver triangles,
+    unlike a plane fitted through three nearly collinear corners.  A
+    field sampled on another mesh, or a ``tri_parent`` outside
+    [0, mesh.n_tets), such as the -1 of a surface built without
+    provenance, raises ValueError.
+    """
+    if field.mesh is not mesh:
+        raise ValueError("field does not match the mesh")
+    parent = surface.tri_parent
+    if parent.size and (parent.min() < 0 or parent.max() >= mesh.n_tets):
+        raise ValueError("surface triangles have no parent tet in this mesh")
+    tet_nodes = mesh.tet_nodes(parent)
+    p = mesh.node_coords(tet_nodes)
+    f = field.values[tet_nodes]
+    g = np.linalg.solve(p[:, 1:] - p[:, :1], (f[:, 1:] - f[:, :1])[..., None])[..., 0]
+    x = surface.vertices[surface.triangles] - p[:, :1]
+    phi = f[:, :1] + np.einsum("ik,ijk->ij", g, x)
+    return np.abs(phi) / norm3(g)[:, None]
 
 
 def refuse_mesh_arrays(monkeypatch):

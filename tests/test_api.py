@@ -28,7 +28,7 @@ def test_package_names_pinned():
         "assumption_residuals", "build_reference_matrix", "build_uniform_mesh",
         "diag_scale", "effective_cond", "eig_extreme", "extract_surface",
         "h1_semi_error", "ilu0_factor", "interpolate", "interpolate_nodal",
-        "l2_error", "mass_cond", "min_angle_theta", "pcg", "plane_residuals",
+        "l2_error", "mass_cond", "min_angle_theta", "pcg",
         "product_arctan_function", "quality_report", "scaled_mass_cond",
         "shape_regularity", "snap_small_values", "tet_volumes", "triangle_angles",
     ]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from levelsurf import cli
+from levelsurf import io as lsio
 from levelsurf.cli import (
     CONDITIONING_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -62,7 +63,7 @@ def test_subcommand_options(tmp_path, capsys):
     assert options == {
         "extract": ["--export", "--h", "--out", "--zc"],
         "convergence": ["--h-list", "--out", "--zc"],
-        "conditioning": ["--export", "--h", "--out", "--seed", "--zc-list"],
+        "conditioning": ["--h", "--out", "--seed", "--zc-list"],
         "refmatrix": ["--block-size", "--blocks", "--export", "--out",
                       "--seed"],
         "massbound": ["--h-list", "--out", "--zc"],
@@ -70,7 +71,9 @@ def test_subcommand_options(tmp_path, capsys):
     for argv in (["extract", "--box", "-2,-2,-2,2,2,2"],
                  ["massbound", "--radius", "1"],
                  ["convergence", "--function", "constant"],
-                 ["refmatrix", "--tol", "1e-8"]):
+                 ["refmatrix", "--tol", "1e-8"],
+                 # a row's scaled stiffness comes from extract --export mm
+                 ["conditioning", "--export", "mm"]):
         out = tmp_path / argv[1].lstrip("-")
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -89,11 +92,10 @@ def test_unknown_export_exits_1():
 
 
 @pytest.mark.parametrize("argv", [
-    ["conditioning", "--h", "0.5", "--zc-list", "0", "--export", "obj,vtk"],
     ["refmatrix", "--export", "obj"],
-], ids=["conditioning", "refmatrix"])
+], ids=["refmatrix"])
 def test_matrix_commands_export_only_mm(argv, tmp_path, capsys):
-    # these commands have no surface file to write: obj and vtk are refused
+    # refmatrix has no surface file to write: obj and vtk are refused
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -464,25 +466,6 @@ def test_conditioning_gate_h8(tmp_path):
         rtol=1e-9)
 
 
-def test_conditioning_exports_each_row_like_extract(tmp_path):
-    # Row z_c's matrix is extract's scaled stiffness at that z_c, and the
-    # export leaves the table as it is.
-    out = tmp_path / "cond"
-    args = ["conditioning", "--h", "0.25", "--zc-list", "0.03,0"]
-    assert main(args + ["--export", "mm", "--out", str(out)]) == 0
-    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    assert ((out / "conditioning.csv").read_bytes()
-            == (tmp_path / "plain" / "conditioning.csv").read_bytes())
-    assert sorted(p.name for p in out.glob("*.mtx")) == [
-        "stiffness_scaled_zc0.0.mtx", "stiffness_scaled_zc0.03.mtx"]
-    for zc in ("0.03", "0.0"):
-        ext = tmp_path / f"extract{zc}"
-        assert main(["extract", "--h", "0.25", "--zc", zc, "--export", "mm",
-                     "--out", str(ext)]) == 0
-        assert ((out / f"stiffness_scaled_zc{zc}.mtx").read_bytes()
-                == (ext / "stiffness_scaled.mtx").read_bytes())
-
-
 def test_conditioning_deterministic_rerun(tmp_path):
     out = tmp_path / "o"
     args = ["conditioning", "--h", "0.5", "--zc-list", "0.0,0.002",
@@ -491,6 +474,21 @@ def test_conditioning_deterministic_rerun(tmp_path):
     before = (out / "conditioning.csv").read_bytes()
     assert main(args) == 0
     assert (out / "conditioning.csv").read_bytes() == before
+
+
+def test_conditioning_row_is_data(tmp_path, monkeypatch):
+    # A row is a function of (h, seed, z_c) that returns the CSV row, its
+    # notes and its failures, and writes no file.
+    out = tmp_path / "o"
+    assert main(["conditioning", "--h", "0.5", "--zc-list", "0.03",
+                 "--seed", "4", "--out", str(out)]) == 0
+    monkeypatch.chdir(out)
+    before = sorted(p.name for p in out.iterdir())
+    row, notes, failures = cli._conditioning_row(0.5, 4, 0.03)
+    assert sorted(p.name for p in out.iterdir()) == before
+    _, rows = read_csv(out / "conditioning.csv")
+    assert [lsio.fmt(v) for v in row] == rows[0]
+    assert notes == [] and failures == []
 
 
 def test_conditioning_row_does_not_depend_on_its_position(tmp_path):
@@ -592,7 +590,7 @@ def test_massbound(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # rows in forked workers
 
-# A small run of each command that maps its rows through ``_row_map``, and
+# A small run of each command that maps its rows through ``_map_rows``, and
 # the function of ``cli`` that each of its rows calls: the tests wrap that
 # function to act from inside a row, in whichever process runs it.
 ROW_RUNS = {
@@ -604,10 +602,9 @@ ROW_CALLS = {"conditioning": "_sphere_surface", "refmatrix": "pcg"}
 
 
 @pytest.mark.parametrize("argv, files", [
-    (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0",
-      "--export", "mm"],
-     ["conditioning.csv", "stiffness_scaled_zc0.0.mtx",
-      "stiffness_scaled_zc0.0005.mtx", "stiffness_scaled_zc0.03.mtx"]),
+    # a row returns data and only this process writes: one file
+    (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0"],
+     ["conditioning.csv"]),
     (ROW_RUNS["refmatrix"],
      ["refmatrix.csv", "refmatrix.json", "refmatrix.mtx"]),
 ], ids=["conditioning", "refmatrix"])

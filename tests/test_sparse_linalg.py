@@ -145,8 +145,66 @@ def test_pcg_reports_nonconvergence():
 
 def test_pcg_breakdown_on_indefinite():
     A = sp.diags([np.array([1.0, -1.0])], [0], format="csr")
-    with pytest.raises(np.linalg.LinAlgError, match="breakdown"):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"breakdown at iteration 1: curvature .* <= 0"):
         pcg(A, np.array([1.0, 1.0]))
+
+
+def test_pcg_breakdown_on_indefinite_preconditioner():
+    # a negative diagonal entry makes the Jacobi preconditioner indefinite
+    A = sp.csr_matrix(np.array([[4.0, 0.0, -1.0], [0.0, 4.0, 2.0],
+                                [-1.0, 2.0, -4.0]]))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"breakdown at iteration 1: preconditioned "
+                             r"product r\.z = .* < 0"):
+        pcg(A, np.array([-2.0, 1.0, 1.0]), precond="jacobi")
+
+
+def test_pcg_underflowing_rz_ends_unconverged():
+    # |b| ~ 1e-149 and a diagonal of 6e12: r.z = r.r / 6e12 underflows to 0
+    # while the residual is still far above tol, so no step is defined.
+    A = 1e12 * build_reference_matrix(blocks=8, size=8)
+    b = np.full(64, 1e-150)
+    x, stats = pcg(A, b, precond="jacobi")
+    assert not stats.converged and stats.iterations < 64
+    assert stats.relres == true_relres(A, x, b) > 1e-8
+
+
+def true_relres(A, x, b):
+    return sparse_linalg._norm(b - A @ x) / sparse_linalg._norm(b)
+
+
+@pytest.fixture(scope="module")
+def shifted_mass_system(sphere_h8_shifted):
+    # The unscaled A + M of the h = 1/8, z_c = 0.03 sphere with b = M 1:
+    # at tol = 1e-12 the recursive residual passes the tolerance and the
+    # true residual stays above it.
+    surf = sphere_h8_shifted[1]
+    M = assemble_mass(surf)
+    return (assemble_stiffness(surf) + M).tocsr(), M @ np.ones(M.shape[0])
+
+
+@pytest.mark.parametrize("precond", ["ilu0", "jacobi"])
+def test_pcg_stalled_true_residual_ends_unconverged(shifted_mass_system,
+                                                    precond):
+    # Residual replacement ends the stall as named non-convergence, with
+    # the true residual, well before n iterations and without a breakdown.
+    A, b = shifted_mass_system
+    x, stats = pcg(A, b, tol=1e-12, precond=precond)
+    n = A.shape[0]
+    assert not stats.converged
+    assert stats.iterations < n // 3
+    assert stats.relres == true_relres(A, x, b) > 1e-12
+
+
+@pytest.mark.parametrize("precond", ["ilu0", "jacobi"])
+def test_pcg_replaced_residual_still_converges(shifted_mass_system, precond):
+    # At tol = 1e-11 the true check fails once on the way (ILU(0) near
+    # iteration 179, Jacobi near 528) and the replaced run then converges.
+    A, b = shifted_mass_system
+    x, stats = pcg(A, b, tol=1e-11, precond=precond)
+    assert stats.converged
+    assert stats.relres == true_relres(A, x, b) <= 1e-11
 
 
 def test_pcg_validates_shapes():

@@ -17,7 +17,6 @@ from levelsurf.surface_extract import (
     _PATTERNS,
     SurfaceMesh,
     extract_surface,
-    plane_residuals,
 )
 from levelsurf.tet_grid import (
     BoxDomain,
@@ -26,7 +25,8 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
-from conftest import BOX, refuse_mesh_arrays, sphere_surface, split_quad
+from conftest import (BOX, plane_residuals, refuse_mesh_arrays,
+                      sphere_surface, split_quad)
 
 # Single positively oriented reference tet (0,0,0),(1,0,0),(0,1,0),(0,0,1).
 REF_NODES = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
