@@ -12,7 +12,8 @@ The setup is fixed: the Kuhn grid of ``BOX`` = [-2,2]^3, the unit sphere
 shifted by z_c (``SphereLevelSet`` with its default radius 1), the
 surface function ``SURFACE_FUNCTION`` = product-arctan and the PCG
 tolerance ``PCG_TOL`` = 1e-8.  Only mesh sizes, z_c, the seed and the
-reference-matrix size are set on the command line.
+reference-matrix size are set on the command line, and only ``extract``
+exports files (``--export``, any of ``EXPORT_FORMATS``).
 
 ``conditioning`` and ``refmatrix`` run their rows in forked worker
 processes, one per usable CPU up to the number of rows, and in this
@@ -91,6 +92,7 @@ REFMATRIX_COLUMNS = ["precond", "iterations", "relres", "converged"]
 
 ZC_TABLE = [0.03, 0.02, 0.008, 0.002, 0.0005, 0.00025, 0.00005, 0.0]
 H_TABLE = [0.5, 0.25, 0.125, 0.0625]
+EXPORT_FORMATS = ("obj", "vtk", "mm")                 # extract --export
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 1, not 2.
@@ -123,19 +125,18 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_exports(text: str, formats: tuple[str, ...]) -> list[str]:
+def _parse_exports(text: str) -> list[str]:
     items = [v.strip() for v in text.split(",") if v.strip() != ""]
     for item in items:
-        if item not in formats:
+        if item not in EXPORT_FORMATS:
             raise argparse.ArgumentTypeError(
                 f"unknown export format {item!r} "
-                f"(choose from {', '.join(formats)})"
+                f"(choose from {', '.join(EXPORT_FORMATS)})"
             )
     return items
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str,
-               exports: tuple[str, ...] = ("obj", "vtk", "mm")) -> None:
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     if "h" in names:
         p.add_argument("--h", type=float, default=0.125,
                        help="mesh size (box edge / h must be integer)")
@@ -158,8 +159,8 @@ def _add_flags(p: argparse.ArgumentParser, *names: str,
                        help="output directory (created if missing)")
     if "export" in names:
         p.add_argument("--export", default=[], metavar="FMT[,FMT]",
-                       type=lambda s: _parse_exports(s, exports),
-                       help=f"extra exports: {', '.join(exports)}")
+                       type=_parse_exports,
+                       help=f"extra exports: {', '.join(EXPORT_FORMATS)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refmatrix", help="PCG iteration counts on the "
                        "block-tridiagonal reference matrix")
-    _add_flags(p, "seed", "out", "export", exports=("mm",))
+    _add_flags(p, "seed", "out")
     p.add_argument("--blocks", type=int, default=120,
                    help="number of block rows")
     p.add_argument("--block-size", type=int, default=120,
@@ -404,8 +405,6 @@ def cmd_refmatrix(args: argparse.Namespace) -> int:
         "iteration_band": list(PCG_ITER_BAND),
         "in_band": bool(in_band),
     })
-    if "mm" in args.export:
-        lsio.write_matrix_market(os.path.join(out, "refmatrix.mtx"), A)
     print(f"dim = {A.shape[0]}, modal row nnz = {modal}; "
           f"PCG iterations: " + ", ".join(
               f"{k} = {counts[k]}" for k in preconds)

@@ -19,7 +19,6 @@ from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
 __all__ = [
-    "triangle_angles",
     "QualityReport",
     "quality_report",
     "AssumptionResiduals",
@@ -29,20 +28,9 @@ __all__ = [
 ANGLE_BINS = 36  # 5-degree histogram bins covering (0, 180)
 
 
-def triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Inner angles of each triangle in radians, shape (F, 3).
-
-    Uses atan2 of cross/dot (:func:`~levelsurf.tet_grid.corner_cross_dot`),
-    which stays accurate for angles near 0 and pi.
-    Angles of each row sum to pi up to roundoff.  Zero-area triangles have
-    no well-defined angles and raise.
-    """
-    p = np.asarray(vertices, dtype=float)[np.asarray(triangles, dtype=np.int64)]
-    return _corner_angles(p)
-
-
 def _corner_angles(p: np.ndarray) -> np.ndarray:
-    """Inner angles (F, 3) of triangles with corners ``p`` (F, 3, 3)."""
+    """Inner angles (F, 3), radians, of triangles with corners ``p`` (F, 3, 3);
+    a zero-area triangle raises ValueError."""
     cross, dot = corner_cross_dot(p)
     # the cross product at corner 0 is twice the triangle's area
     bad = np.flatnonzero(cross[:, 0] <= 0.0)

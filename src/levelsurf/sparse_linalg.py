@@ -165,18 +165,25 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     precond : "none" | "jacobi" | "ilu0" | "milu0"
 
     The iteration starts from x = 0 and stops after at most n steps, n the
-    dimension of A.  Each time the recursive residual passes ``tol``, the
-    true residual b - Ax either meets ``tol`` or replaces the recursive one
-    (residual replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22,
-    2000); a replaced residual no smaller than the last one ends the run.
+    dimension of A.  It solves for b / 2^e, e the binary exponent of
+    max |b|, and returns 2^e times that solution: a power of two scales
+    every iterate exactly, so the run is that of b wherever b's own norms
+    would underflow or overflow.  Each time the recursive residual passes
+    ``tol``, the true residual b - Ax either meets ``tol`` or replaces the
+    recursive one (residual replacement, van der Vorst & Ye, SIAM J. Sci.
+    Comput. 22, 2000), and x is kept with it.  A replaced residual no
+    smaller than the last one ends the run with the x kept at the last
+    replacement; a run that ends at n steps or on an underflowed r.z
+    returns the better of that x and the last one.
 
     Returns
     -------
     (x, SolveStats)
-        Iteration count, final true relative residual, and whether the
-        tolerance was met.  Non-convergence is reported in the stats, not
-        raised; a breakdown (curvature p.Ap <= 0, or r.z < 0 from an
-        indefinite preconditioner) raises LinAlgError naming which.
+        Iteration count (the steps taken), true relative residual of the
+        returned x, and whether the tolerance was met.  Non-convergence is
+        reported in the stats, not raised; a breakdown (curvature
+        p.Ap <= 0, or r.z < 0 from an indefinite preconditioner) raises
+        LinAlgError naming which.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -184,6 +191,8 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     apply_M = _preconditioner(A, precond)
+    e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
+    b = np.ldexp(b, -e)
 
     x = np.zeros(n)
     bnorm = _norm(b)
@@ -196,7 +205,7 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
     z = apply_M(r)
     p = z.copy()
     rz = _dot(r, z)
-    replaced = math.inf         # true residual at the last replacement
+    best = (x, math.inf)        # x and true residual at the last replacement
     for it in range(1, n + 1):
         Ap = A @ p
         pAp = _dot(p, Ap)
@@ -210,9 +219,11 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
         if _norm(r) / bnorm <= tol:
             r = b - A @ x
             true_rel = _norm(r) / bnorm
-            if true_rel <= tol or true_rel >= replaced:
-                return x, SolveStats(it, true_rel, true_rel <= tol)
-            replaced = true_rel
+            if true_rel <= tol:
+                return np.ldexp(x, e), SolveStats(it, true_rel, True)
+            if true_rel >= best[1]:
+                return np.ldexp(best[0], e), SolveStats(it, best[1], False)
+            best = (x.copy(), true_rel)
         z = apply_M(r)
         rz_new = _dot(r, z)
         if rz_new < 0.0:
@@ -224,7 +235,10 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveStats(it, _norm(b - A @ x) / bnorm, False)
+    relres = _norm(b - A @ x) / bnorm
+    if best[1] < relres:
+        x, relres = best
+    return np.ldexp(x, e), SolveStats(it, relres, False)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class SurfaceMesh:
     vertex_t: np.ndarray | None = None      # (Nv,) crossing parameter
     tri_parent: np.ndarray | None = None    # (F,) parent tet index
     tri_from_quad: np.ndarray | None = None  # (F,) bool, True for quad halves
-    h: float = 0.0
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -244,5 +243,4 @@ def extract_surface(mesh: TetMesh, field: NodalField) -> SurfaceMesh:
         vertex_t=t,
         tri_parent=np.repeat(tet_ids, 1 + quad),
         tri_from_quad=np.repeat(quad, 1 + quad),
-        h=mesh.h,
     )

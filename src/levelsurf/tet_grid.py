@@ -6,14 +6,13 @@ conforming by construction.  Nodes are indexed lexicographically with x
 running fastest.  The module also provides the two shape metrics used for
 stability statements: the enclosing/inscribed ball-diameter ratio and the
 minimum angle over face angles and edge-to-opposite-face angles.  A lattice
-evaluates both, and :func:`tet_volumes`, on the six Kuhn tets of one cube;
-only ``tet_coords`` and ``face_multiplicities`` build its ``tets``.  Every
-inner angle of a polygon in the package (tet faces, surface triangles,
-cut quads, the cotangents of the stiffness matrix) comes from one kernel,
-:func:`corner_cross_dot`, and every Euclidean length of a 3-vector (edge
-lengths, triangle areas, unit normals, distances to the sphere center)
-from another, :func:`norm3`.  Both live here because every other module
-can import this one.
+evaluates both, and :func:`tet_volumes`, on the six Kuhn tets of one cube
+and never builds its ``tets``.  Every inner angle of a polygon in the
+package (tet faces, surface triangles, cut quads, the cotangents of the
+stiffness matrix) comes from one kernel, :func:`corner_cross_dot`, and
+every Euclidean length of a 3-vector (edge lengths, triangle areas, unit
+normals, distances to the sphere center) from another, :func:`norm3`.
+Both live here because every other module can import this one.
 """
 
 from __future__ import annotations
@@ -117,6 +116,9 @@ class TetMesh:
         Grid spacing (cube edge length).
     box : BoxDomain
         The meshed domain.
+    n_nodes, n_tets : int
+    is_kuhn_lattice : bool
+        True for a lattice; it computes ``nodes`` and ``tets`` on access.
     n_cells : (3,) ints
         Number of grid cubes per axis; a lattice only.
     """
@@ -127,8 +129,8 @@ class TetMesh:
             raise ValueError(f"h must be finite and positive, got {h}")
         self.h = h
         self.box = box
-        self._lattice = tets is None
-        if not self._lattice:
+        self.is_kuhn_lattice = tets is None
+        if not self.is_kuhn_lattice:
             self._nodes = np.ascontiguousarray(nodes, dtype=np.float64)
             self._tets = np.ascontiguousarray(tets, dtype=np.int64)
             if self._nodes.ndim != 2 or self._nodes.shape[1] != 3:
@@ -140,6 +142,7 @@ class TetMesh:
             if self._tets.size and (self._tets.min() < 0
                                     or self._tets.max() >= len(self._nodes)):
                 raise ValueError("tet indices out of range")
+            self.n_nodes, self.n_tets = len(self._nodes), len(self._tets)
             return
         if nodes is not None:
             raise ValueError("a lattice mesh (tets=None) stores no nodes; "
@@ -157,22 +160,19 @@ class TetMesh:
             raise ValueError(f"h={h} does not divide the box extents "
                              f"{tuple(ext.tolist())}")
         self.n_cells = tuple(int(v) for v in n)
+        nx, ny, nz = self.n_cells
+        self.n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
+        self.n_tets = 6 * nx * ny * nz
         self._axes = [lo + h * np.arange(m + 1)
                       for lo, m in zip(box.lo, self.n_cells)]
         # node-id offsets of the 6 Kuhn tets from their cube's lowest corner
-        nx, ny, _ = self.n_cells
         corner = _CORNER_OFFSETS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
         self._kuhn = corner[_KUHN_TETS]
 
     @property
-    def is_kuhn_lattice(self) -> bool:
-        """True for a lattice mesh, which computes ``tets`` on each access."""
-        return self._lattice
-
-    @property
     def tets(self) -> np.ndarray:
         """(M, 4) node ids per tet; a lattice computes them on each access."""
-        if not self._lattice:
+        if not self.is_kuhn_lattice:
             return self._tets
         # per cube, not tet_nodes(arange(n_tets)): the per-tet ids and their
         # temporaries would double the peak memory of this build.
@@ -182,21 +182,14 @@ class TetMesh:
     @property
     def nodes(self) -> np.ndarray:
         """(N, 3) node coordinates; a lattice computes them on each access."""
-        if self._lattice:
+        if self.is_kuhn_lattice:
             return self.node_coords(np.arange(self.n_nodes))
         return self._nodes
-
-    @property
-    def n_nodes(self) -> int:
-        if self._lattice:
-            nx, ny, nz = self.n_cells
-            return (nx + 1) * (ny + 1) * (nz + 1)
-        return len(self._nodes)
 
     def node_coords(self, ids: np.ndarray) -> np.ndarray:
         """Coordinates of the given node ids, shape ``ids.shape + (3,)``."""
         ids = np.asarray(ids, dtype=np.int64)
-        if not self._lattice:
+        if not self.is_kuhn_lattice:
             return self._nodes[ids]
         nx, ny, _ = self.n_cells
         xs, ys, zs = self._axes
@@ -217,7 +210,7 @@ class TetMesh:
         not keep this reused buffer.  Raises ValueError unless every call
         returns one value per point.
         """
-        if not self._lattice:
+        if not self.is_kuhn_lattice:
             return _pointwise(fn, self._nodes)
         xs, ys, zs = self._axes
         plane = np.empty((len(xs) * len(ys), 3))
@@ -238,7 +231,7 @@ class TetMesh:
         zero set, and ``tets`` is never built.  An explicit mesh returns all
         of its tets.
         """
-        if self._lattice:
+        if self.is_kuhn_lattice:
             nx, ny, nz = self.n_cells
             pos = np.asarray(positive, dtype=bool).reshape(nz + 1, ny + 1, nx + 1)
             # a cube is mixed where a corner's sign differs from corner 0's
@@ -250,13 +243,6 @@ class TetMesh:
             ids = np.arange(self.n_tets, dtype=np.int64)
         return ids, self.tet_nodes(ids)
 
-    @property
-    def n_tets(self) -> int:
-        if self._lattice:
-            nx, ny, nz = self.n_cells
-            return 6 * nx * ny * nz
-        return len(self._tets)
-
     def _cube_base(self, cubes: np.ndarray) -> np.ndarray:
         """Node id of the lowest corner of each lattice cube."""
         nx, ny, _ = self.n_cells
@@ -266,23 +252,9 @@ class TetMesh:
     def tet_nodes(self, tet_ids: np.ndarray) -> np.ndarray:
         """Node ids of the given tets, (len, 4), without building ``tets``."""
         tet_ids = np.asarray(tet_ids, dtype=np.int64)
-        if not self._lattice:
+        if not self.is_kuhn_lattice:
             return self._tets[tet_ids]
         return self._cube_base(tet_ids // 6)[:, None] + self._kuhn[tet_ids % 6]
-
-    def tet_coords(self) -> np.ndarray:
-        """Vertex coordinates per tet, shape (M, 4, 3)."""
-        return self.node_coords(self.tets)
-
-    def face_multiplicities(self) -> np.ndarray:
-        """Occurrence count of every distinct triangular face.
-
-        Conformity means each count is 1 (boundary face) or 2 (interior face).
-        """
-        faces = self.tets[:, _OPP_FACES].reshape(-1, 3)
-        faces = np.sort(faces, axis=1)
-        _, counts = np.unique(faces, axis=0, return_counts=True)
-        return counts
 
 
 def _pointwise(fn, points: np.ndarray) -> np.ndarray:
@@ -337,7 +309,7 @@ def _tet_shapes(mesh: TetMesh) -> np.ndarray:
     """
     if mesh.is_kuhn_lattice:
         return mesh.node_coords(mesh.tet_nodes(np.arange(6)))
-    return mesh.tet_coords()
+    return mesh.node_coords(mesh.tets)
 
 
 def _face_normals(p: np.ndarray) -> np.ndarray:

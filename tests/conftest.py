@@ -12,7 +12,7 @@ from levelsurf import (
     snap_small_values,
 )
 from levelsurf.surface_extract import _split_quads_batch
-from levelsurf.tet_grid import norm3
+from levelsurf.tet_grid import _OPP_FACES, norm3
 
 BOX = BoxDomain((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -64,6 +64,16 @@ def plane_residuals(mesh, field, surface):
     x = surface.vertices[surface.triangles] - p[:, :1]
     phi = f[:, :1] + np.einsum("ik,ijk->ij", g, x)
     return np.abs(phi) / norm3(g)[:, None]
+
+
+def face_multiplicities(mesh):
+    """Occurrence count of every distinct triangular face of ``mesh``.
+
+    Conformity means each count is 1 (boundary face) or 2 (interior face).
+    """
+    faces = np.sort(mesh.tets[:, _OPP_FACES].reshape(-1, 3), axis=1)
+    _, counts = np.unique(faces, axis=0, return_counts=True)
+    return counts
 
 
 def refuse_mesh_arrays(monkeypatch):

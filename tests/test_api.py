@@ -30,5 +30,5 @@ def test_package_names_pinned():
         "h1_semi_error", "ilu0_factor", "interpolate", "interpolate_nodal",
         "l2_error", "mass_cond", "min_angle_theta", "pcg",
         "product_arctan_function", "quality_report", "scaled_mass_cond",
-        "shape_regularity", "snap_small_values", "tet_volumes", "triangle_angles",
+        "shape_regularity", "snap_small_values", "tet_volumes",
     ]

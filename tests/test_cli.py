@@ -64,14 +64,15 @@ def test_subcommand_options(tmp_path, capsys):
         "extract": ["--export", "--h", "--out", "--zc"],
         "convergence": ["--h-list", "--out", "--zc"],
         "conditioning": ["--h", "--out", "--seed", "--zc-list"],
-        "refmatrix": ["--block-size", "--blocks", "--export", "--out",
-                      "--seed"],
+        "refmatrix": ["--block-size", "--blocks", "--out", "--seed"],
         "massbound": ["--h-list", "--out", "--zc"],
     }
     for argv in (["extract", "--box", "-2,-2,-2,2,2,2"],
                  ["massbound", "--radius", "1"],
                  ["convergence", "--function", "constant"],
                  ["refmatrix", "--tol", "1e-8"],
+                 # the reference matrix is write_matrix_market's to write
+                 ["refmatrix", "--export", "mm"],
                  # a row's scaled stiffness comes from extract --export mm
                  ["conditioning", "--export", "mm"]):
         out = tmp_path / argv[1].lstrip("-")
@@ -89,20 +90,6 @@ def test_unknown_export_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["extract", "--export", "stl"])
     assert exc.value.code == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["refmatrix", "--export", "obj"],
-], ids=["refmatrix"])
-def test_matrix_commands_export_only_mm(argv, tmp_path, capsys):
-    # refmatrix has no surface file to write: obj and vtk are refused
-    out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert "unknown export format 'obj' (choose from mm)" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -550,12 +537,11 @@ def test_refmatrix_small(tmp_path, capsys):
                             "modal_row_nnz", "nnz"]
 
 
-def test_refmatrix_export_and_rerun(tmp_path):
+def test_refmatrix_rerun(tmp_path):
     out = tmp_path / "o"
     args = ["refmatrix", "--blocks", "6", "--block-size", "8",
-            "--export", "mm", "--out", str(out)]
+            "--out", str(out)]
     assert main(args) == 0
-    assert (out / "refmatrix.mtx").exists()
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(args) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -595,8 +581,7 @@ def test_massbound(tmp_path, capsys):
 # function to act from inside a row, in whichever process runs it.
 ROW_RUNS = {
     "conditioning": ["conditioning", "--h", "0.5", "--zc-list", "0.03,0"],
-    "refmatrix": ["refmatrix", "--blocks", "12", "--block-size", "12",
-                  "--export", "mm"],
+    "refmatrix": ["refmatrix", "--blocks", "12", "--block-size", "12"],
 }
 ROW_CALLS = {"conditioning": "_sphere_surface", "refmatrix": "pcg"}
 
@@ -606,7 +591,7 @@ ROW_CALLS = {"conditioning": "_sphere_surface", "refmatrix": "pcg"}
     (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0"],
      ["conditioning.csv"]),
     (ROW_RUNS["refmatrix"],
-     ["refmatrix.csv", "refmatrix.json", "refmatrix.mtx"]),
+     ["refmatrix.csv", "refmatrix.json"]),
 ], ids=["conditioning", "refmatrix"])
 def test_outputs_same_in_process_and_in_workers(argv, files, tmp_path,
                                                 monkeypatch):

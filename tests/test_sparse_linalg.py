@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 
@@ -161,13 +162,41 @@ def test_pcg_breakdown_on_indefinite_preconditioner():
 
 
 def test_pcg_underflowing_rz_ends_unconverged():
-    # |b| ~ 1e-149 and a diagonal of 6e12: r.z = r.r / 6e12 underflows to 0
-    # while the residual is still far above tol, so no step is defined.
-    A = 1e12 * build_reference_matrix(blocks=8, size=8)
-    b = np.full(64, 1e-150)
-    x, stats = pcg(A, b, precond="jacobi")
+    # A diagonal of 6e300: r.z = r.r / 6e300 underflows to 0 near relres
+    # 1e-12, still above tol, so no further step is defined.  (A tiny b no
+    # longer does this: pcg scales it to max |b| in [0.5, 1) first.)
+    A = 1e300 * build_reference_matrix(blocks=8, size=8)
+    b = np.ones(64)
+    x, stats = pcg(A, b, tol=1e-16, precond="jacobi")
     assert not stats.converged and stats.iterations < 64
-    assert stats.relres == true_relres(A, x, b) > 1e-8
+    assert stats.relres == true_relres(A, x, b) > 1e-16
+
+
+@pytest.mark.parametrize("precond", ["none", "jacobi", "ilu0", "milu0"])
+def test_pcg_power_of_two_scaling_is_exact(precond):
+    # pcg solves for b / 2^e, so 2^k b runs as b does, from near the
+    # subnormal range to near overflow: the same stats, and x times 2^k.
+    A = build_reference_matrix(blocks=8, size=8)
+    b = A @ np.random.default_rng(0).standard_normal(64)
+    x, stats = pcg(A, b, precond=precond)
+    for k in (-1014, -600, -548, 600, 1000):
+        xk, sk = pcg(A, np.ldexp(b, k), precond=precond)
+        assert sk == stats, k
+        npt.assert_array_equal(np.ldexp(xk, -k), x, err_msg=str(k))
+
+
+@pytest.mark.parametrize("s", [1e-165, 1e-160, 1e160, 1e300])
+def test_pcg_tiny_and_huge_rhs_converge(s):
+    # Unscaled, the norms of these b underflow or overflow: 1e-165 returned
+    # x = 0 as converged, 1e-160 "converged" at relres 0, and 1e160 and
+    # 1e300 ran all 64 iterations to relres nan.
+    A = build_reference_matrix(blocks=8, size=8)
+    b = np.full(64, s)
+    x, stats = pcg(A, b, precond="ilu0")
+    assert stats.converged and stats.iterations == 9
+    e = math.frexp(s)[1]        # the relres of x, free of under- and overflow
+    assert stats.relres == true_relres(A, np.ldexp(x, -e), np.ldexp(b, -e))
+    assert 0.0 < stats.relres <= 1e-8
 
 
 def true_relres(A, x, b):
@@ -195,6 +224,30 @@ def test_pcg_stalled_true_residual_ends_unconverged(shifted_mass_system,
     assert not stats.converged
     assert stats.iterations < n // 3
     assert stats.relres == true_relres(A, x, b) > 1e-12
+
+
+@pytest.mark.parametrize("precond", ["ilu0", "jacobi"])
+def test_pcg_stall_returns_the_best_iterate(shifted_mass_system, precond,
+                                            monkeypatch):
+    # The true residual of every vector A is applied to is recorded; the
+    # iterates are among them.  A stalled run returns the best iterate, so
+    # its relres is the smallest recorded, not the last iterate's.  b is
+    # given as pcg scales it, max |b| in [0.5, 1), so the records match.
+    A, b = shifted_mass_system
+    b = np.ldexp(b, -math.frexp(np.abs(b).max())[1])
+    seen = []
+
+    class Recording(sp.csr_matrix):
+        def __matmul__(self, v):
+            Av = super().__matmul__(v)
+            seen.append(sparse_linalg._norm(b - Av) / sparse_linalg._norm(b))
+            return Av
+
+    monkeypatch.setattr(sparse_linalg, "_as_csr", lambda M: M)
+    x, stats = pcg(Recording(A), b, tol=1e-12, precond=precond)
+    assert not stats.converged
+    assert stats.relres == pytest.approx(true_relres(A, x, b), rel=1e-12)
+    assert stats.relres <= min(seen)
 
 
 @pytest.mark.parametrize("precond", ["ilu0", "jacobi"])

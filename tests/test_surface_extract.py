@@ -202,7 +202,7 @@ def test_plane_residuals_detect_a_bad_surface(sphere_h4):
     moved = dataclasses.replace(surf, vertices=vertices)
     assert plane_residuals(mesh, field, moved).max() > 1e-9 * mesh.h
 
-    unparented = SurfaceMesh(surf.vertices, surf.triangles, h=mesh.h)
+    unparented = SurfaceMesh(surf.vertices, surf.triangles)
     with pytest.raises(ValueError, match="no parent tet"):
         plane_residuals(mesh, field, unparented)
 
@@ -559,10 +559,9 @@ def test_split_max_angle_not_increased():
 
 def test_from_arrays_surface():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    surf = SurfaceMesh(verts, np.array([[0, 1, 2]]), h=0.5)
+    surf = SurfaceMesh(verts, np.array([[0, 1, 2]]))
     npt.assert_allclose(surf.areas(), [0.5])
     npt.assert_allclose(surf.normals(), [[0, 0, 1]])
-    assert surf.h == 0.5
     assert not surf.is_watertight()    # open single triangle
     # no extraction provenance: zero edges and crossings, no parent tet
     npt.assert_array_equal(surf.vertex_edges, np.zeros((3, 2), dtype=np.int64))

@@ -68,7 +68,7 @@ def flat_patch(n=4):
             b = (i + 1) * (n + 1) + j
             tris.append([a, b, b + 1])
             tris.append([a, b + 1, a + 1])
-    return SurfaceMesh(verts, np.array(tris), h=1.0 / n)
+    return SurfaceMesh(verts, np.array(tris))
 
 
 def test_sympy_mass_reference_pattern():

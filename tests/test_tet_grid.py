@@ -16,7 +16,8 @@ from levelsurf.tet_grid import (
     tet_volumes,
 )
 
-from conftest import LATTICES, meshgrid_nodes, refuse_mesh_arrays
+from conftest import (LATTICES, face_multiplicities, meshgrid_nodes,
+                      refuse_mesh_arrays)
 
 # Frozen oracle values (brute force over all angles of the cube subdivision,
 # and closed forms for the regular tetrahedron).
@@ -52,7 +53,7 @@ def test_box_counts():
 
 def test_positive_orientation():
     mesh = build_uniform_mesh(BoxDomain((-2, -2, -2), (2, 2, 2)), 0.5)
-    p = mesh.tet_coords()
+    p = mesh.node_coords(mesh.tets)
     det = np.linalg.det(p[:, 1:] - p[:, :1])
     assert det.min() > 0.0
 
@@ -91,7 +92,7 @@ def test_lattice_volumes_match_explicit_copy(box, h, exact, monkeypatch):
 
 def test_face_multiplicities():
     mesh = build_uniform_mesh(BoxDomain((0, 0, 0), (1, 1, 1)), 0.25)
-    counts = mesh.face_multiplicities()
+    counts = face_multiplicities(mesh)
     assert set(counts.tolist()) <= {1, 2}
     n = 4
     assert (counts == 1).sum() == 12 * n ** 2   # 6 box faces, 2n^2 tris each
@@ -139,7 +140,7 @@ def test_shape_regularity_regular_tet():
 def test_shape_regularity_per_tet(mesh_h4):
     # The main diagonal of its cube is a diameter of every Kuhn tet's
     # smallest enclosing ball: the other two vertices see it at right angles.
-    rho = _enclosing_ball_diameters(mesh_h4.tet_coords())
+    rho = _enclosing_ball_diameters(mesh_h4.node_coords(mesh_h4.tets))
     assert rho.shape == (mesh_h4.n_tets,)
     npt.assert_allclose(rho, np.sqrt(3.0) * mesh_h4.h, rtol=1e-12)
 
@@ -211,12 +212,13 @@ def test_min_angle_kuhn():
 
 
 def test_min_face_angle_kuhn():
-    face = _face_angles(unit_cube_mesh().tet_coords())
+    mesh = unit_cube_mesh()
+    face = _face_angles(mesh.node_coords(mesh.tets))
     npt.assert_allclose(face.min(), KUHN_MIN_FACE_ANGLE, rtol=1e-12)
 
 
 def test_angle_shapes(mesh_h2):
-    p = mesh_h2.tet_coords()
+    p = mesh_h2.node_coords(mesh_h2.tets)
     assert _face_angles(p).shape == (mesh_h2.n_tets, 12)
     assert _edge_face_angles(p).shape == (mesh_h2.n_tets, 12)
 
@@ -224,13 +226,14 @@ def test_angle_shapes(mesh_h2):
 def test_min_angle_regular_tet():
     mesh = regular_tet_mesh()
     npt.assert_allclose(min_angle_theta(mesh), REGULAR_MIN_ANGLE, rtol=1e-12)
-    npt.assert_allclose(_face_angles(mesh.tet_coords()), np.pi / 3.0,
-                        rtol=1e-12)
+    npt.assert_allclose(_face_angles(mesh.node_coords(mesh.tets)),
+                        np.pi / 3.0, rtol=1e-12)
 
 
 def test_face_angle_sums(mesh_h2):
     # The three angles of every tet face sum to pi.
-    ang = _face_angles(mesh_h2.tet_coords()).reshape(mesh_h2.n_tets, 4, 3)
+    ang = _face_angles(mesh_h2.node_coords(mesh_h2.tets))
+    ang = ang.reshape(mesh_h2.n_tets, 4, 3)
     npt.assert_allclose(ang.sum(axis=2), np.pi, rtol=1e-12)
 
 
@@ -251,7 +254,7 @@ def test_lattice_node_coords_match_meshgrid(name):
     npt.assert_array_equal(mesh.nodes, ref)
     ids = np.random.default_rng(5).integers(0, mesh.n_nodes, (7, 4))
     npt.assert_array_equal(mesh.node_coords(ids), ref[ids])
-    npt.assert_array_equal(mesh.tet_coords(), ref[mesh.tets])
+    npt.assert_array_equal(mesh.node_coords(mesh.tets), ref[mesh.tets])
     assert mesh.nodes is not mesh.nodes        # computed, never cached
 
 
