@@ -259,9 +259,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     results = []
     for h in hs:
         spec, surface = _sphere_surface(h, args.zc)
-        coeffs = interpolate(SURFACE_FUNCTION, spec, surface)
-        e2 = l2_error(SURFACE_FUNCTION, spec, surface, coeffs)
-        e1 = h1_semi_error(SURFACE_FUNCTION, spec, surface, coeffs)
+        u = spec.extend(SURFACE_FUNCTION)
+        coeffs = interpolate(u, surface)
+        e2 = l2_error(u, surface, coeffs)
+        e1 = h1_semi_error(u, surface, coeffs)
         results.append((h, surface.n_vertices, e2, e1))
     for i, (h, n, e2, e1) in enumerate(results):
         if i == 0:

@@ -4,8 +4,10 @@ A level-set spec evaluates phi on arbitrary points; its zero set is the
 surface of interest.  Interpolating phi at mesh nodes gives the piecewise
 linear field whose zero set the extractor triangulates.  Exact nodal zeros
 are snapped to a small positive value so every tet has a strict sign
-pattern.  Only :class:`SphereLevelSet` has geometry (signed distance,
-normals, closest points); :class:`AnalyticLevelSet` is a bare phi.
+pattern.  A spec with geometry has a signed-distance phi and the methods
+``normal``, ``closest_point`` and ``extend``, the closest-point extension
+u o p of a surface function u that the error norms take.
+:class:`SphereLevelSet` is one; :class:`AnalyticLevelSet` is a bare phi.
 """
 
 from __future__ import annotations
@@ -66,6 +68,22 @@ class SphereLevelSet:
 
     def closest_point(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.center) + self.radius * self.normal(points)
+
+    def extend(self, u: SurfaceFunction) -> SurfaceFunction:
+        """u's extension u(closest_point(x)); with yh = (x - c) / |x - c|,
+        its gradient is (r / |x - c|) (I - yh yh^T) grad u(c + r yh), None
+        when ``u.gradient`` is."""
+        def value(points):
+            return u.value(self.closest_point(points))
+
+        def gradient(points):
+            points = np.asarray(points, dtype=float)
+            yh = self.normal(points)
+            g = u.gradient(np.asarray(self.center) + self.radius * yh)
+            g = g - yh * np.einsum("...j,...j->...", g, yh)[..., None]
+            return (self.radius / norm3(points - self.center))[..., None] * g
+
+        return SurfaceFunction(value, None if u.gradient is None else gradient)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Angle statistics and geometric-assumption checks for extracted surfaces.
 
 The quality report collects the angle extremes and histogram of a surface
-triangulation plus, for a :class:`~levelsurf.level_set.SphereLevelSet`,
-the residuals of the two geometric closeness assumptions: maximum
-surface-to-sphere distance (expected ~ h^2) and maximum deviation of the
-discrete triangle normals from the exact ones (expected ~ h).  Over a
+triangulation plus, for a spec with a signed-distance phi and a
+``normal``, the residuals of the two geometric closeness assumptions:
+maximum surface-to-Gamma distance (expected ~ h^2) and maximum deviation
+of the discrete triangle normals from the exact ones (expected ~ h).  Over a
 refinement sequence, :func:`assumption_residuals` fits the orders of both.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .level_set import SphereLevelSet
 from .surface_extract import SurfaceMesh
 from .tet_grid import corner_cross_dot, norm3
 
@@ -45,7 +44,7 @@ class QualityReport:
 
     Angles are in degrees.  ``count_below_1deg`` counts triangles whose
     smallest angle is below one degree.  ``max_dist`` and
-    ``max_normal_dev`` are NaN unless the spec is a sphere
+    ``max_normal_dev`` are NaN unless the spec has a ``normal``
     (``assumptions_checked`` False).
     """
 
@@ -67,8 +66,9 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
     """Angle statistics, histogram and geometric-assumption residuals.
 
     The residuals (distance at vertices and barycenters, normal deviation
-    at barycenters) need a :class:`SphereLevelSet` ``spec``; any other
-    spec, None included, leaves them NaN with ``assumptions_checked`` False.
+    at barycenters) need a ``spec`` with a signed-distance phi and a
+    ``normal``; a spec without ``normal``, None included, leaves them NaN
+    with ``assumptions_checked`` False.
     """
     if surface.n_triangles == 0:
         return QualityReport(
@@ -89,9 +89,9 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
         count_below_1deg=int((ang.min(axis=1) < 1.0).sum()),
         angle_histogram=[int(c) for c in hist],
     )
-    if isinstance(spec, SphereLevelSet):
+    if hasattr(spec, "normal"):
         bary = p.mean(axis=1)
-        # phi of a sphere is its signed distance
+        # a spec with a normal has a signed-distance phi
         d_v = np.abs(spec.evaluate(surface.vertices))
         d_b = np.abs(spec.evaluate(bary))
         report.max_dist = float(max(d_v.max(), d_b.max()))
@@ -123,15 +123,15 @@ def assumption_residuals(levels, spec) -> AssumptionResiduals:
     """Evaluate max_dist and max_normal_dev across a surface sequence.
 
     ``levels`` is an iterable of (h, SurfaceMesh) pairs; at least two are
-    required (three or more give meaningful slopes).  The spec must be a
-    :class:`SphereLevelSet`, and a level with an empty surface raises
-    ValueError: it has no residual to fit.
+    required (three or more give meaningful slopes).  The spec must have a
+    signed-distance phi and a ``normal``, and a level with an empty surface
+    raises ValueError: it has no residual to fit.
     """
     pairs = list(levels)
     if len(pairs) < 2:
         raise ValueError("need at least two refinement levels")
-    if not isinstance(spec, SphereLevelSet):
-        raise ValueError("assumption residuals need a SphereLevelSet spec")
+    if not hasattr(spec, "normal"):
+        raise ValueError("assumption residuals need a spec with a normal")
     rows = []
     for h, surf in pairs:
         rep = quality_report(surf, spec)

@@ -34,6 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "SolveStats",
@@ -546,7 +547,10 @@ def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     lambda_2 comes from :func:`_shift_invert_min` with floor 4 |A k|, so
     delta = max(1e-13 |A|_inf, 4 |A k|).  ``kernel`` must actually be a kernel
     vector: |A k| <= 1e-8 lambda_max is enforced.  An estimate with
-    lambda_2 <= 0 reports cond = inf.
+    lambda_2 <= 0 reports cond = inf.  On each component of A's graph, the
+    part of k is a kernel vector too; so a k that is nonzero on c > 1
+    components with a stored entry, as on a surface of c pieces, shows a
+    kernel of at least c dimensions and raises ValueError.
     """
     A = _as_csr(A)
     khat = np.asarray(kernel, dtype=float)
@@ -554,6 +558,12 @@ def effective_cond(A, kernel: np.ndarray) -> CondEstimate:
     if nk == 0.0:
         raise ValueError("kernel vector is zero")
     khat = khat / nk
+    labels = connected_components(A, directed=False)[1]
+    c = np.unique(labels[(khat != 0.0) & (np.diff(A.indptr) > 0)]).size
+    if c > 1:
+        raise ValueError(f"the kernel vector spans {c} components of the "
+                         f"matrix graph: the kernel has at least {c} "
+                         "dimensions, not 1")
 
     def project(w):
         return w - _dot(khat, w) * khat

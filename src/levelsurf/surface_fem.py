@@ -8,11 +8,11 @@ D^{-1/2} A D^{-1/2} produces a unit-diagonal matrix whose spectrum is what
 the conditioning statements are about.  Mass-matrix condition numbers
 factor no matrix: since D / 2 <= M <= 2 D, Lanczos runs on 2 I - M^s
 directly and on M^{-1} through Jacobi-PCG solves, which converge in a few
-dozen iterations at any mesh size.  A surface function is extended off
-the surface as u(closest point) and interpolated at the vertices.
-Interpolation errors against it are evaluated with a 6-point degree-4
-triangle quadrature; the reference gradient is the exact gradient of the
-extension by the chain rule, projected onto each triangle's plane.  Both
+dozen iterations at any mesh size.  The interpolant and the error norms
+take a function u of ambient points, on a curved surface the extension
+``spec.extend(u)``: u is interpolated at the vertices, and the errors are
+evaluated with a 6-point degree-4 triangle quadrature, the reference
+gradient ``u.gradient`` projected onto each triangle's plane.  Both
 error norms run their quadrature over blocks of ``_QUAD_BLOCK``
 triangles, so their temporaries do not grow with the surface.
 """
@@ -22,10 +22,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .level_set import SphereLevelSet, SurfaceFunction
+from .level_set import SurfaceFunction
 from .sparse_linalg import CondEstimate, _lanczos, _norm, eig_extreme, pcg
 from .surface_extract import SurfaceMesh
-from .tet_grid import corner_cross_dot, norm3
+from .tet_grid import corner_cross_dot
 
 __all__ = [
     "interpolate",
@@ -58,47 +58,12 @@ TRI_QP_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 _QUAD_BLOCK = 4096
 
 
-def _closest_points(spec, points: np.ndarray) -> np.ndarray:
-    if not isinstance(spec, SphereLevelSet):
-        raise ValueError(
-            "closest-point extension needs a SphereLevelSet spec or None")
-    return spec.closest_point(points)
+def interpolate(u: SurfaceFunction, surface: SurfaceMesh) -> np.ndarray:
+    """Nodal coefficients of the P1 interpolant of u: u at the vertices.
 
-
-def _extension_values(u: SurfaceFunction, spec, points: np.ndarray) -> np.ndarray:
-    """Values of u's extension, u(closest point of spec), at ambient points.
-
-    With ``spec=None`` u is evaluated at the points directly (useful for
-    flat test patches where the extension is the identity).
+    On a curved surface u is the extension ``spec.extend(u)``.
     """
-    if spec is not None:
-        points = _closest_points(spec, points)
-    return np.asarray(u.value(points), dtype=float)
-
-
-def _extension_gradients(u: SurfaceFunction, spec,
-                         points: np.ndarray) -> np.ndarray:
-    """Gradients (..., 3) of u's extension at ambient points (..., 3).
-
-    On a sphere the extension is u(pi(x)), pi(x) = c + r yh with
-    yh = (x - c) / |x - c|, so its gradient is (r / |x - c|)
-    (I - yh yh^T) grad u(pi(x)).  With ``spec=None`` it is grad u(x).
-    """
-    if spec is None:
-        return np.asarray(u.gradient(points), dtype=float)
-    g = np.asarray(u.gradient(_closest_points(spec, points)), dtype=float)
-    yh = spec.normal(points)
-    g = g - yh * np.einsum("...j,...j->...", g, yh)[..., None]
-    return (spec.radius / norm3(points - spec.center))[..., None] * g
-
-
-def interpolate(u: SurfaceFunction, spec, surface: SurfaceMesh) -> np.ndarray:
-    """Nodal coefficients of the interpolant of u's extension.
-
-    With a sphere spec the vertices are projected to the surface first;
-    with ``spec=None`` u is evaluated at the vertices directly.
-    """
-    return _extension_values(u, spec, surface.vertices)
+    return np.asarray(u.value(surface.vertices), dtype=float)
 
 
 def _quadrature_points(p: np.ndarray) -> np.ndarray:
@@ -135,29 +100,29 @@ def _quadrature_norm(surface: SurfaceMesh, coeffs: np.ndarray,
     return float(np.sqrt(per_tri.sum()))
 
 
-def l2_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
+def l2_error(u: SurfaceFunction, surface: SurfaceMesh,
              coeffs: np.ndarray) -> float:
-    """L2 norm of (extension of u) - (P1 field with the given coefficients)."""
+    """L2 norm of u - (P1 field with the given coefficients)."""
 
     def integrand(p, n, two_area, c):
         qp = _quadrature_points(p)                            # (B, 6, 3)
-        ue = _extension_values(u, spec, qp.reshape(-1, 3)).reshape(qp.shape[:2])
+        ue = np.asarray(u.value(qp.reshape(-1, 3)),
+                        dtype=float).reshape(qp.shape[:2])
         vh = c @ TRI_QP_BARY.T                                # (B, 6)
         return (ue - vh) ** 2 @ TRI_QP_WEIGHTS
 
     return _quadrature_norm(surface, coeffs, integrand)
 
 
-def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
+def h1_semi_error(u: SurfaceFunction, surface: SurfaceMesh,
                   coeffs: np.ndarray) -> float:
     """H1 seminorm of the interpolation error, triangle by triangle.
 
     Both gradients are taken inside each triangle's plane: the P1 gradient
     is constant, sum_i c_i grad(lambda_i) with grad(lambda_i) = nh x
-    (opposite edge) / (2 A); the reference gradient is the exact gradient
-    of u's extension (:func:`_extension_gradients`), projected by
-    I - nh nh^T at each quadrature point.  Raises ValueError when
-    ``u.gradient`` is None.
+    (opposite edge) / (2 A); the reference gradient is ``u.gradient``,
+    projected by I - nh nh^T at each quadrature point.  Raises ValueError
+    when ``u.gradient`` is None.
     """
     if u.gradient is None:
         raise ValueError("h1_semi_error needs u.gradient")
@@ -170,7 +135,8 @@ def h1_semi_error(u: SurfaceFunction, spec, surface: SurfaceMesh,
             + c[:, [2]] * np.cross(nh, p[:, 1] - p[:, 0])
         ) / two_area[:, None]
         qp = _quadrature_points(p)                            # (B, 6, 3)
-        g = _extension_gradients(u, spec, qp.reshape(-1, 3)).reshape(qp.shape)
+        g = np.asarray(u.gradient(qp.reshape(-1, 3)),
+                       dtype=float).reshape(qp.shape)
         diff = (g - nh[:, None] * np.einsum("bqj,bj->bq", g, nh)[..., None]
                 - grad[:, None])
         return np.einsum("bqj,bqj->bq", diff, diff) @ TRI_QP_WEIGHTS

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,66 @@ def sphere_surface(h, zc=0.0, radius=1.0, box=BOX):
     spec = SphereLevelSet(center=(0.0, 0.0, zc), radius=radius)
     field = snap_small_values(interpolate_nodal(spec, mesh))
     return spec, extract_surface(mesh, field)
+
+
+@dataclass(frozen=True)
+class TorusSpec:
+    """Signed distance to a torus whose axis runs through ``center`` along z.
+
+    R is the radius of the core circle and r that of the tube.  Like
+    SphereLevelSet it is a spec with geometry: ``normal``,
+    ``closest_point`` and ``extend`` are exact.  With rho the distance
+    from the axis, q the closest point of the core circle and s = |x - q|,
+    the closest point is pi(x) = q + r (x - q) / s.  Its Jacobian is
+    D pi = ((R + r cos theta) / rho) e_phi e_phi^T + (r / s) t t^T, with
+    e_phi the toroidal direction and t the poloidal tangent; it is
+    symmetric, so grad(u o pi) = D pi grad u(pi).
+    """
+
+    center: tuple = (0.013, -0.021, 0.031)
+    R: float = 1.0
+    r: float = 0.4
+
+    def _frame(self, points):
+        """e_rho (unit radial direction from the axis), rho, x - q and s."""
+        d = np.asarray(points, dtype=float) - self.center
+        rho = np.hypot(d[..., 0], d[..., 1])
+        e_rho = np.zeros_like(d)
+        e_rho[..., :2] = d[..., :2] / rho[..., None]
+        w = d - self.R * e_rho
+        return e_rho, rho, w, norm3(w)
+
+    def evaluate(self, points):
+        d = np.asarray(points, dtype=float) - self.center
+        return np.hypot(np.hypot(d[..., 0], d[..., 1]) - self.R,
+                        d[..., 2]) - self.r
+
+    def normal(self, points):
+        _, _, w, s = self._frame(points)
+        return w / s[..., None]
+
+    def closest_point(self, points):
+        e_rho, _, w, s = self._frame(points)
+        return (np.asarray(self.center) + self.R * e_rho
+                + self.r * w / s[..., None])
+
+    def extend(self, u):
+        def value(points):
+            return u.value(self.closest_point(points))
+
+        def gradient(points):
+            e_rho, rho, w, s = self._frame(points)
+            n = w / s[..., None]
+            e_phi = np.stack([-e_rho[..., 1], e_rho[..., 0],
+                              np.zeros_like(rho)], axis=-1)
+            t = np.cross(e_phi, n)
+            g = u.gradient(np.asarray(self.center) + self.R * e_rho + self.r * n)
+            stretch_phi = (self.R + self.r * np.sum(n * e_rho, axis=-1)) / rho
+            stretch_t = self.r / s
+            return ((stretch_phi * np.sum(g * e_phi, axis=-1))[..., None] * e_phi
+                    + (stretch_t * np.sum(g * t, axis=-1))[..., None] * t)
+
+        return SurfaceFunction(value, None if u.gradient is None else gradient)
 
 
 def split_quad(quad_ids, points):

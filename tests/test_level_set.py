@@ -11,8 +11,6 @@ from levelsurf.level_set import (
     product_arctan_function,
     snap_small_values,
 )
-from levelsurf.surface_extract import SurfaceMesh
-from levelsurf.surface_fem import interpolate
 from levelsurf.tet_grid import BoxDomain, TetMesh, build_uniform_mesh
 
 from conftest import BOX, LATTICES, meshgrid_nodes
@@ -22,11 +20,6 @@ from conftest import BOX, LATTICES, meshgrid_nodes
 UE_AT_111 = 0.09093815805716499
 
 CUBE = build_uniform_mesh(BoxDomain((0, 0, 0), (1, 1, 1)), 1.0)  # 8 nodes
-
-
-def extend(u, spec, points):
-    """u's extension at ambient points: interpolate on a triangle-free mesh."""
-    return interpolate(u, spec, SurfaceMesh(points, np.zeros((0, 3))))
 
 
 def cube_field(values):
@@ -229,7 +222,7 @@ def test_snap_count_unit_sphere(h):
 def test_extend_function_frozen_value():
     u = product_arctan_function()
     spec = SphereLevelSet(center=(0.0, 0.0, 0.0), radius=1.0)
-    val = extend(u, spec, np.array([[1.0, 1.0, 1.0]]))
+    val = spec.extend(u).value(np.array([[1.0, 1.0, 1.0]]))
     npt.assert_allclose(val, [UE_AT_111], rtol=1e-14)
 
 
@@ -242,7 +235,7 @@ def test_extension_constant_along_normals():
     on_surface = spec.closest_point(x * 3.0)
     for t in (0.4, 1.0, 1.7):
         pts = np.asarray([0, 0, 0.25]) + t * (on_surface - [0, 0, 0.25])
-        npt.assert_allclose(extend(u, spec, pts),
+        npt.assert_allclose(spec.extend(u).value(pts),
                             u.value(on_surface), rtol=1e-12)
 
 

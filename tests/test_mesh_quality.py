@@ -187,5 +187,5 @@ def test_assumption_residuals_needs_two_levels(sphere_h4):
 def test_assumption_residuals_needs_distance(sphere_h4):
     _, surf = sphere_h4
     spec = AnalyticLevelSet(lambda p: p[:, 0])
-    with pytest.raises(ValueError, match="need a SphereLevelSet"):
+    with pytest.raises(ValueError, match="need a spec with a normal"):
         assumption_residuals([(0.25, surf), (0.125, surf)], spec)

@@ -9,7 +9,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from levelsurf import sparse_linalg
+from levelsurf import (AnalyticLevelSet, build_uniform_mesh, extract_surface,
+                       interpolate_nodal, snap_small_values, sparse_linalg)
 from levelsurf.sparse_linalg import (
     CondEstimate,
     EigNonConvergence,
@@ -21,6 +22,9 @@ from levelsurf.sparse_linalg import (
     pcg,
 )
 from levelsurf.surface_fem import assemble_mass, assemble_stiffness, diag_scale
+from levelsurf.tet_grid import norm3
+
+from conftest import BOX
 
 # Spec oracle: the 2-blocks-of-2 reference matrix written out by hand.
 REF_4x4 = np.array(
@@ -811,3 +815,19 @@ def test_eig_extreme_ill_conditioned():
     A = sp.diags([d], [0], format="csr")
     npt.assert_allclose(eig_extreme(A, "max"), 1.0, rtol=1e-6)
     npt.assert_allclose(eig_extreme(A, "min"), 1e-9, rtol=1e-6)
+
+
+def test_effective_cond_refuses_a_kernel_per_component():
+    # Two disjoint spheres: the scaled stiffness matrix has one constant
+    # kernel vector per sphere.  Deflating only sqrt(d) once gave roundoff
+    # as lambda_2 (cond inf at h = 1/4, 2.1e16 at h = 1/8) where dense
+    # eigvalsh gives lambda_3 and cond 240.
+    centers = np.array([[1.0, 0.0, 0.03], [-1.0, 0.0, 0.03]])
+    spec = AnalyticLevelSet(lambda p: np.minimum(
+        norm3(p - centers[0]), norm3(p - centers[1])) - 0.7)
+    mesh = build_uniform_mesh(BOX, 0.25)
+    surf = extract_surface(mesh, snap_small_values(interpolate_nodal(spec, mesh)))
+    assert surf.n_components() == 2
+    As, d = diag_scale(assemble_stiffness(surf))
+    with pytest.raises(ValueError, match="spans 2 components"):
+        effective_cond(As, np.sqrt(d))

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 import sympy
 
 from levelsurf.level_set import (
-    AnalyticLevelSet,
     SphereLevelSet,
     product_arctan_function,
 )
@@ -353,12 +352,13 @@ def test_mass_cond_raises_on_unconverged_solve(sphere_h4, monkeypatch):
 
 def test_interpolate_constant(sphere_h4):
     spec, surf = sphere_h4
-    npt.assert_allclose(interpolate(constant_function(1.0), spec, surf), 1.0)
+    npt.assert_allclose(interpolate(spec.extend(constant_function(1.0)), surf),
+                        1.0)
 
 
 def test_interpolate_coordinate_on_sphere(sphere_h4):
     spec, surf = sphere_h4
-    coeffs = interpolate(coordinate_function(2), spec, surf)
+    coeffs = interpolate(spec.extend(coordinate_function(2)), surf)
     v = surf.vertices
     npt.assert_allclose(coeffs, v[:, 2] / np.linalg.norm(v, axis=1), rtol=1e-13)
 
@@ -372,25 +372,25 @@ def test_interpolate_extension_constancy():
     surf = SurfaceMesh(
         np.stack([v, 1.1 * v, [1.0, 0.0, 0.0]]), np.array([[0, 1, 2]])
     )
-    coeffs = interpolate(u, spec, surf)
+    coeffs = interpolate(spec.extend(u), surf)
     npt.assert_allclose(coeffs[0], coeffs[1], rtol=1e-12)
 
 
 def test_error_norms_reject_bad_coeffs(sphere_h4):
     spec, surf = sphere_h4
-    u = product_arctan_function()
+    u = spec.extend(product_arctan_function())
     with pytest.raises(ValueError):
-        l2_error(u, spec, surf, np.zeros(3))
+        l2_error(u, surf, np.zeros(3))
     with pytest.raises(ValueError):
-        h1_semi_error(u, spec, surf, np.zeros(3))
+        h1_semi_error(u, surf, np.zeros(3))
 
 
 def test_constant_interpolated_exactly(sphere_h4):
     spec, surf = sphere_h4
-    u = constant_function(2.5)
-    coeffs = interpolate(u, spec, surf)
-    assert l2_error(u, spec, surf, coeffs) <= 1e-13
-    assert h1_semi_error(u, spec, surf, coeffs) <= 1e-9
+    u = spec.extend(constant_function(2.5))
+    coeffs = interpolate(u, surf)
+    assert l2_error(u, surf, coeffs) <= 1e-13
+    assert h1_semi_error(u, surf, coeffs) <= 1e-9
 
 
 def test_affine_reproduced_on_flat_patch():
@@ -398,17 +398,19 @@ def test_affine_reproduced_on_flat_patch():
     a = np.array([0.7, -0.3, 0.0])
     u = SurfaceFunction(value=lambda p: np.asarray(p) @ a + 0.2,
                         gradient=lambda p: np.broadcast_to(a, np.shape(p)))
-    coeffs = interpolate(u, None, surf)
-    assert l2_error(u, None, surf, coeffs) <= 1e-13
-    assert h1_semi_error(u, None, surf, coeffs) <= 1e-13
+    coeffs = interpolate(u, surf)
+    assert l2_error(u, surf, coeffs) <= 1e-13
+    assert h1_semi_error(u, surf, coeffs) <= 1e-13
 
 
 def test_h1_needs_gradient(sphere_h4):
     spec, surf = sphere_h4
-    u = SurfaceFunction(value=product_arctan_function().value)
-    coeffs = interpolate(u, spec, surf)
+    # the extension of a u without a gradient has none either
+    u = spec.extend(SurfaceFunction(value=product_arctan_function().value))
+    assert u.gradient is None
+    coeffs = interpolate(u, surf)
     with pytest.raises(ValueError, match="gradient"):
-        h1_semi_error(u, spec, surf, coeffs)
+        h1_semi_error(u, surf, coeffs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -433,20 +435,12 @@ def test_extension_gradient_matches_fourth_order_difference(seed):
     for k, e in enumerate(step * np.eye(3)):
         fd[:, k] = (8.0 * (ext(x + e) - ext(x - e))
                     - (ext(x + 2.0 * e) - ext(x - 2.0 * e))) / (12.0 * step)
-    got = surface_fem._extension_gradients(u, spec, x)
+    got = spec.extend(u).gradient(x)
     assert got.shape == x.shape
     npt.assert_allclose(got, fd, rtol=0.0, atol=1e-11)
     # the extension is constant along the normal
     yh = spec.normal(x)
     assert np.abs(np.einsum("ij,ij->i", got, yh)).max() <= 1e-15
-
-
-def test_extension_gradient_needs_a_sphere():
-    spec = AnalyticLevelSet(fn=lambda p: p[..., 2])
-    for extension in (surface_fem._extension_values,
-                      surface_fem._extension_gradients):
-        with pytest.raises(ValueError, match="closest-point"):
-            extension(product_arctan_function(), spec, np.ones((2, 3)))
 
 
 def _h1_error_chain_rule(u, sphere, surface, coeffs):
@@ -487,8 +481,8 @@ def _h1_error_chain_rule(u, sphere, surface, coeffs):
 def test_h1_matches_chain_rule_oracle(sphere_h4):
     spec, surf = sphere_h4
     u = product_arctan_function()
-    coeffs = interpolate(u, spec, surf)
-    got = h1_semi_error(u, spec, surf, coeffs)
+    coeffs = interpolate(spec.extend(u), surf)
+    got = h1_semi_error(spec.extend(u), surf, coeffs)
     analytic = _h1_error_chain_rule(u, spec, surf, coeffs)
     npt.assert_allclose(got, analytic, rtol=1e-12)
 
@@ -532,22 +526,20 @@ def test_blocked_errors_match_whole_surface(sphere_h4, u, block, monkeypatch):
     spec, surf = sphere_h4
     assert surf.n_triangles == 1656
     monkeypatch.setattr(surface_fem, "_QUAD_BLOCK", block)
-    coeffs = interpolate(u, spec, surf)
+    coeffs = interpolate(spec.extend(u), surf)
     ref_l2, ref_h1 = _whole_surface_errors(u, spec, surf, coeffs)
-    assert l2_error(u, spec, surf, coeffs) == ref_l2
-    assert h1_semi_error(u, spec, surf, coeffs) == ref_h1
+    assert l2_error(spec.extend(u), surf, coeffs) == ref_l2
+    assert h1_semi_error(spec.extend(u), surf, coeffs) == ref_h1
 
 
 def test_interpolation_orders_loose(sphere_h4, sphere_h8):
     from conftest import sphere_surface
 
-    u = product_arctan_function()
     errs = []
     for spec, surf in (sphere_surface(0.5), sphere_h4, sphere_h8):
-        coeffs = interpolate(u, spec, surf)
-        errs.append(
-            (l2_error(u, spec, surf, coeffs), h1_semi_error(u, spec, surf, coeffs))
-        )
+        u = spec.extend(product_arctan_function())
+        coeffs = interpolate(u, surf)
+        errs.append((l2_error(u, surf, coeffs), h1_semi_error(u, surf, coeffs)))
     e = np.asarray(errs)
     assert (np.diff(e[:, 0]) < 0).all() and (np.diff(e[:, 1]) < 0).all()
     l2_orders = np.log2(e[:-1, 0] / e[1:, 0])
