@@ -21,8 +21,16 @@ process when one is enough.  A ``conditioning`` row is a function of
 (h, seed, z_c) alone: its PCG right-hand side comes from ``--seed`` and
 not from the rows before it.  A ``refmatrix`` row is one preconditioner's
 PCG solve of the one system the command builds.  A row returns data and
-writes no file; this process writes every output.  So the outputs do not
-depend on the worker count.  Peak memory is per worker.
+writes no file; this process writes every output.  ``extract --export``
+with ``mm`` runs two parts the same way: one returns the quality report
+and writes the OBJ and VTK files, the other writes the two Matrix
+Market files itself, so their text never passes through this process.
+A row reaches its worker through the fork, unpickled; only its result
+is pickled.  ``convergence`` and ``extract`` run their per-triangle
+loops (the error quadrature, the quality report) on one thread per
+usable CPU where a loop holds two full blocks or more, and on one
+thread inside a worker.  So the outputs do not depend on the worker or
+thread count.  Peak memory is per worker.
 
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
 whose effective condition number or PCG solve did not converge, 1
@@ -69,7 +77,7 @@ from .surface_fem import (
     mass_cond,
     scaled_mass_cond,
 )
-from .tet_grid import BoxDomain, build_uniform_mesh
+from .tet_grid import BoxDomain, _usable_cpus, build_uniform_mesh
 
 MASS_COND_BOUND = 2.0 * (2.0 + np.sqrt(2.0))      # scaled mass-matrix bound
 L2_ORDER_BAND = (1.8, 2.2)
@@ -212,13 +220,19 @@ def _quality_row(zc: float, report) -> list:
             report.max_dist, report.max_normal_dev]
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def _extract_part(args: argparse.Namespace, spec, surface, part: str):
+    """One part of ``extract``: "report" returns the quality report and
+    writes the OBJ and VTK exports; "matrices" writes the two scaled
+    Matrix Market files itself, as returning their text would copy it
+    into this process, and returns None."""
     out = args.out
-    spec, surface = _sphere_surface(args.h, args.zc)
+    if part == "matrices":
+        Ms, _ = diag_scale(assemble_mass(surface))
+        As, _ = diag_scale(assemble_stiffness(surface))
+        lsio.write_matrix_market(os.path.join(out, "mass_scaled.mtx"), Ms)
+        lsio.write_matrix_market(os.path.join(out, "stiffness_scaled.mtx"), As)
+        return None
     report = quality_report(surface, spec)
-    lsio.write_json(os.path.join(out, "quality.json"), report.as_dict())
-    lsio.write_csv(os.path.join(out, "quality.csv"), QUALITY_COLUMNS,
-                   [_quality_row(args.zc, report)])
     obj = os.path.join(out, "surface.obj") if "obj" in args.export else None
     vtk = os.path.join(out, "surface.vtk") if "vtk" in args.export else None
     if obj and vtk:
@@ -228,11 +242,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
         lsio.write_obj(obj, surface.vertices, surface.triangles)
     elif vtk:
         lsio.write_vtk_surface(vtk, surface.vertices, surface.triangles)
-    if "mm" in args.export:
-        Ms, _ = diag_scale(assemble_mass(surface))
-        As, _ = diag_scale(assemble_stiffness(surface))
-        lsio.write_matrix_market(os.path.join(out, "mass_scaled.mtx"), Ms)
-        lsio.write_matrix_market(os.path.join(out, "stiffness_scaled.mtx"), As)
+    return report
+
+
+def cmd_extract(args: argparse.Namespace) -> int:
+    out = args.out
+    spec, surface = _sphere_surface(args.h, args.zc)
+    parts = ["report", "matrices"] if "mm" in args.export else ["report"]
+    report = _map_rows(partial(_extract_part, args, spec, surface), parts)[0]
+    lsio.write_json(os.path.join(out, "quality.json"), report.as_dict())
+    lsio.write_csv(os.path.join(out, "quality.csv"), QUALITY_COLUMNS,
+                   [_quality_row(args.zc, report)])
     print(f"extracted {surface.n_triangles} triangles / "
           f"{surface.n_vertices} vertices; "
           f"phi_max = {report.phi_max_deg:.2f} deg; outputs in {out}")
@@ -284,20 +304,33 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
+# A worker's (fn, items) of _map_rows, set by the pool's initializer in
+# the worker alone.
+_worker_rows = None
+
+
+def _set_worker_rows(fn, items: list) -> None:
+    global _worker_rows
+    _worker_rows = fn, items
+
+
+def _run_worker_row(i: int):
+    fn, items = _worker_rows
+    return fn(items[i])
+
+
 def _map_rows(fn, items: list) -> list:
     """``[fn(item) for item in items]``, in forked workers where that pays.
 
     In this process for one item, one usable CPU or no ``fork`` start
     method; otherwise in a pool of min(items, usable CPUs) forked processes.
-    The pool is shut down, its queued items cancelled and its workers joined
-    before this returns or raises; a worker that dies ends as a
-    ``ChildProcessError``.
+    ``fn`` and ``items`` reach the workers through the fork, as the pool's
+    initializer arguments, and are never pickled; only the item indices and
+    the results are.  The pool is shut down, its queued items cancelled and
+    its workers joined before this returns or raises; a worker that dies
+    ends as a ``ChildProcessError``.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity mask on this platform
-        cpus = 1
-    workers = min(len(items), cpus)
+    workers = min(len(items), _usable_cpus())
     if workers > 1:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -307,11 +340,14 @@ def _map_rows(fn, items: list) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     # fork, not spawn: a worker starts with numpy and scipy imported and
-    # with the caller's module state; no thread of this command runs yet
+    # with the caller's module state; no thread of this command runs now,
+    # as _map_blocks joins its threads before it returns
     pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_rows,
+                               initargs=(fn, items))
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_run_worker_row, range(len(items))))
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a worker process died: {exc}") from exc
     finally:

@@ -126,7 +126,10 @@ class SurfaceFunction:
     ``value`` maps (..., 3) points to (...) values and must be pointwise:
     the error norms evaluate it block by block.  ``gradient``, if given,
     returns the ambient R^3 gradient (..., 3), also pointwise; the H1 error
-    needs it, interpolation and the L2 error do not.
+    needs it, interpolation and the L2 error do not.  The error norms may
+    call both from several threads at once, so neither may keep state;
+    the same holds for a spec's ``evaluate`` and ``normal``, which
+    ``quality_report`` calls.
     """
 
     value: Callable[[np.ndarray], np.ndarray]

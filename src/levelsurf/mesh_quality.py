@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .surface_extract import SurfaceMesh
-from .tet_grid import corner_cross_dot, norm3
+from .tet_grid import _map_blocks, corner_cross_dot, norm3
 
 __all__ = [
     "QualityReport",
@@ -26,15 +26,23 @@ __all__ = [
 
 ANGLE_BINS = 36  # 5-degree histogram bins covering (0, 180)
 
+# Triangles per block of quality_report.  A triangle here takes about a
+# quarter of the temporaries of one in the error quadrature, so four times
+# surface_fem's _QUAD_BLOCK holds about as much; at a quarter of this
+# block the numpy calls are too short to gain from a second thread, whose
+# wait for the GIL then costs more than it saves.
+_REPORT_BLOCK = 16384
 
-def _corner_angles(p: np.ndarray) -> np.ndarray:
+
+def _corner_angles(p: np.ndarray, first: int = 0) -> np.ndarray:
     """Inner angles (F, 3), radians, of triangles with corners ``p`` (F, 3, 3);
-    a zero-area triangle raises ValueError."""
+    a zero-area triangle raises ValueError, naming it by its index plus
+    ``first``, the index of ``p[0]`` in its surface."""
     cross, dot = corner_cross_dot(p)
     # the cross product at corner 0 is twice the triangle's area
     bad = np.flatnonzero(cross[:, 0] <= 0.0)
     if bad.size:
-        raise ValueError(f"degenerate triangle at index {bad[0]}")
+        raise ValueError(f"degenerate triangle at index {first + bad[0]}")
     return np.arctan2(cross, dot)
 
 
@@ -68,7 +76,10 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
     The residuals (distance at vertices and barycenters, normal deviation
     at barycenters) need a ``spec`` with a signed-distance phi and a
     ``normal``; a spec without ``normal``, None included, leaves them NaN
-    with ``assumptions_checked`` False.
+    with ``assumptions_checked`` False.  The triangles run in blocks of
+    ``_REPORT_BLOCK``, on one thread per usable CPU where the surface has
+    two full blocks or more, so ``spec.evaluate`` and ``spec.normal`` may
+    be called from several threads at once.
     """
     if surface.n_triangles == 0:
         return QualityReport(
@@ -76,26 +87,40 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
             phi_max_deg=float("nan"), phi_min_deg=float("nan"),
             count_below_1deg=0, angle_histogram=[0] * ANGLE_BINS,
         )
-    # one corner gather serves the angles, barycenters and normals; the
-    # angles raise first on a zero-area triangle (|n| is their corner-0 cross)
-    p, n, two_area = surface.tri_geometry()
-    ang = np.degrees(_corner_angles(p))
-    hist, _ = np.histogram(ang.ravel(), bins=ANGLE_BINS, range=(0.0, 180.0))
+    checked = hasattr(spec, "normal")
+
+    def block_stats(rows):
+        # one corner gather serves the angles, barycenters and normals; the
+        # angles raise first on a zero-area triangle (|n| is their corner-0
+        # cross)
+        p, n, two_area = surface.tri_geometry(rows=rows)
+        ang = np.degrees(_corner_angles(p, rows.start))
+        hist, _ = np.histogram(ang.ravel(), bins=ANGLE_BINS,
+                               range=(0.0, 180.0))
+        stats = [ang.max(), ang.min(), (ang.min(axis=1) < 1.0).sum(), hist]
+        if checked:
+            bary = p.mean(axis=1)
+            # a spec with a normal has a signed-distance phi
+            stats += [np.abs(spec.evaluate(bary)).max(),
+                      norm3(spec.normal(bary) - n / two_area[:, None]).max()]
+        return stats
+
+    # maxima, minima and counts per block combine exactly, so the report
+    # does not depend on the blocking
+    blocks = _map_blocks(block_stats, surface.n_triangles, _REPORT_BLOCK)
+    ang_max, ang_min, below, hist, *residuals = map(np.array, zip(*blocks))
     report = QualityReport(
         n_vertices=surface.n_vertices,
         n_triangles=surface.n_triangles,
-        phi_max_deg=float(ang.max()),
-        phi_min_deg=float(ang.min()),
-        count_below_1deg=int((ang.min(axis=1) < 1.0).sum()),
-        angle_histogram=[int(c) for c in hist],
+        phi_max_deg=float(ang_max.max()),
+        phi_min_deg=float(ang_min.min()),
+        count_below_1deg=int(below.sum()),
+        angle_histogram=[int(c) for c in hist.sum(axis=0)],
     )
-    if hasattr(spec, "normal"):
-        bary = p.mean(axis=1)
-        # a spec with a normal has a signed-distance phi
+    if checked:
+        dist_b, dev = residuals
         d_v = np.abs(spec.evaluate(surface.vertices))
-        d_b = np.abs(spec.evaluate(bary))
-        report.max_dist = float(max(d_v.max(), d_b.max()))
-        dev = norm3(spec.normal(bary) - n / two_area[:, None])
+        report.max_dist = float(max(d_v.max(), dist_b.max()))
         report.max_normal_dev = float(dev.max())
         report.assumptions_checked = True
     return report

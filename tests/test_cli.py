@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -581,18 +582,41 @@ def test_massbound(tmp_path, capsys):
 # function to act from inside a row, in whichever process runs it.
 ROW_RUNS = {
     "conditioning": ["conditioning", "--h", "0.5", "--zc-list", "0.03,0"],
+    "extract": ["extract", "--h", "0.125", "--zc", "0.03",
+                "--export", "obj,vtk,mm"],
     "refmatrix": ["refmatrix", "--blocks", "12", "--block-size", "12"],
 }
-ROW_CALLS = {"conditioning": "_sphere_surface", "refmatrix": "pcg"}
+# extract's assemble_mass runs in its "matrices" part alone
+ROW_CALLS = {"conditioning": "_sphere_surface", "extract": "assemble_mass",
+             "refmatrix": "pcg"}
+# the file the command's own process writes once its rows are back
+ROW_CSV = {"conditioning": "conditioning.csv", "extract": "quality.csv",
+           "refmatrix": "refmatrix.csv"}
+
+
+def test_rows_reach_workers_through_the_fork(monkeypatch):
+    # A lambda and a lock cannot be pickled: the rows run in workers only
+    # because fn and the items are inherited, and only results come back.
+    _use_cpus(monkeypatch, 2)
+    items = [threading.Lock(), lambda: None]
+    got = cli._map_rows(lambda item: (os.getpid(), type(item).__name__),
+                        items)
+    assert [name for _, name in got] == [type(i).__name__ for i in items]
+    assert os.getpid() not in {pid for pid, _ in got}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("argv, files", [
     # a row returns data and only this process writes: one file
     (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0"],
      ["conditioning.csv"]),
+    # extract's matrices part writes its two files in its worker
+    (ROW_RUNS["extract"],
+     ["mass_scaled.mtx", "quality.csv", "quality.json",
+      "stiffness_scaled.mtx", "surface.obj", "surface.vtk"]),
     (ROW_RUNS["refmatrix"],
      ["refmatrix.csv", "refmatrix.json"]),
-], ids=["conditioning", "refmatrix"])
+], ids=["conditioning", "extract", "refmatrix"])
 def test_outputs_same_in_process_and_in_workers(argv, files, tmp_path,
                                                 monkeypatch):
     name = ROW_CALLS[argv[0]]
@@ -679,8 +703,47 @@ def test_dead_worker_exits_1(command, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ")
     assert err.count("\n") == 1
-    assert not (out / f"{command}.csv").exists()
+    assert not (out / ROW_CSV[command]).exists()
     assert multiprocessing.active_children() == []
+
+
+def _refuse_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--h", "0.0625", "--export", "obj,vtk,mm"],
+    ["convergence", "--h-list", "0.25,0.125,0.0625"],
+    ROW_RUNS["conditioning"],
+    ROW_RUNS["refmatrix"],
+    ["massbound", "--h-list", "0.5,0.25"],
+], ids=lambda argv: argv[0])
+def test_one_cpu_starts_no_thread_or_worker(argv, tmp_path, monkeypatch):
+    # Each loop here has two full blocks or more, and each command more
+    # than one row, so on two CPUs every one would start threads or a pool
+    # (whose manager is a thread).
+    _use_cpus(monkeypatch, 1)
+    _refuse_threads(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--h", "0.5"],
+    ["convergence", "--h-list", "0.5,0.25,0.125"],
+    ["conditioning", "--h", "0.5", "--zc-list", "0"],
+    ["massbound", "--h-list", "0.5,0.25"],
+], ids=lambda argv: argv[0])
+def test_small_runs_start_no_thread(argv, tmp_path, monkeypatch):
+    # The loops of these runs hold fewer than two full blocks (7032
+    # triangles at h = 1/8) and run in this process on any CPU count, so
+    # a run of this size starts no thread: each thread's malloc arena
+    # would raise this process's peak memory for no gain in time.
+    _use_cpus(monkeypatch, 2)
+    _refuse_threads(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
 
 # ---------------------------------------------------------------------------
