@@ -15,9 +15,11 @@ tolerance ``PCG_TOL`` = 1e-8.  Only mesh sizes, z_c, the seed and the
 reference-matrix size are set on the command line, and only ``extract``
 exports files (``--export``, any of ``EXPORT_FORMATS``).
 
-``conditioning`` and ``refmatrix`` run their rows in forked worker
-processes, one per usable CPU up to the number of rows, and in this
-process when one is enough.  A ``conditioning`` row is a function of
+``convergence``, ``conditioning`` and ``refmatrix`` run their rows in
+forked worker processes, one per usable CPU up to the number of rows,
+and in this process when one is enough.  A ``convergence`` row is one
+mesh level, a function of (z_c, h) alone; this process computes the
+orders from the rows.  A ``conditioning`` row is a function of
 (h, seed, z_c) alone: its PCG right-hand side comes from ``--seed`` and
 not from the rows before it.  A ``refmatrix`` row is one preconditioner's
 PCG solve of the one system the command builds.  A row returns data and
@@ -26,11 +28,9 @@ with ``mm`` runs two parts the same way: one returns the quality report
 and writes the OBJ and VTK files, the other writes the two Matrix
 Market files itself, so their text never passes through this process.
 A row reaches its worker through the fork, unpickled; only its result
-is pickled.  ``convergence`` and ``extract`` run their per-triangle
-loops (the error quadrature, the quality report) on one thread per
-usable CPU where a loop holds two full blocks or more, and on one
-thread inside a worker.  So the outputs do not depend on the worker or
-thread count.  Peak memory is per worker.
+is pickled.  So the outputs do not depend on the worker count.  Peak
+memory is per worker.  This module alone starts processes; the library
+runs on the calling thread.
 
 Exit codes: 0 success, 2 acceptance-band violation or a conditioning row
 whose effective condition number or PCG solve did not converge, 1
@@ -77,7 +77,7 @@ from .surface_fem import (
     mass_cond,
     scaled_mass_cond,
 )
-from .tet_grid import BoxDomain, _usable_cpus, build_uniform_mesh
+from .tet_grid import BoxDomain, build_uniform_mesh
 
 MASS_COND_BOUND = 2.0 * (2.0 + np.sqrt(2.0))      # scaled mass-matrix bound
 L2_ORDER_BAND = (1.8, 2.2)
@@ -268,6 +268,17 @@ def _in_band(value: float, band: tuple) -> bool:
     return band[0] <= value <= band[1]
 
 
+def _convergence_row(zc: float, h: float):
+    """One ``convergence`` level, a function of (z_c, h) alone: h, the
+    vertex count N, and the L2 and H1-seminorm errors of the P1
+    interpolant of ``SURFACE_FUNCTION``."""
+    spec, surface = _sphere_surface(h, zc)
+    u = spec.extend(SURFACE_FUNCTION)
+    coeffs = interpolate(u, surface)
+    return (h, surface.n_vertices, l2_error(u, surface, coeffs),
+            h1_semi_error(u, surface, coeffs))
+
+
 def cmd_convergence(args: argparse.Namespace) -> int:
     out = args.out
     hs = sorted(args.h_list, reverse=True)
@@ -275,25 +286,14 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise ValueError("convergence needs at least 3 mesh sizes")
     if len(set(hs)) < len(hs):
         raise ValueError("convergence needs distinct mesh sizes")
-    rows = []
-    results = []
-    for h in hs:
-        spec, surface = _sphere_surface(h, args.zc)
-        u = spec.extend(SURFACE_FUNCTION)
-        coeffs = interpolate(u, surface)
-        e2 = l2_error(u, surface, coeffs)
-        e1 = h1_semi_error(u, surface, coeffs)
-        results.append((h, surface.n_vertices, e2, e1))
-    for i, (h, n, e2, e1) in enumerate(results):
-        if i == 0:
-            rows.append([h, n, e2, e1, "", "", ""])
-        else:
-            hp, npp, e2p, e1p = results[i - 1]
-            rows.append([h, n, e2, e1, _order(e2p, e2, hp, h),
-                         _order(e1p, e1, hp, h), n / npp])
+    results = _map_rows(partial(_convergence_row, args.zc), hs)
+    rows = [[*results[0], "", "", ""]]
+    for (hp, npp, e2p, e1p), (h, n, e2, e1) in zip(results, results[1:]):
+        rows.append([h, n, e2, e1, _order(e2p, e2, hp, h),
+                     _order(e1p, e1, hp, h), n / npp])
     lsio.write_csv(os.path.join(out, "convergence.csv"),
                    CONVERGENCE_COLUMNS, rows)
-    l2_order, h1_order, n_ratio = rows[-1][4], rows[-1][5], rows[-1][6]
+    l2_order, h1_order, n_ratio = rows[-1][4:]
     ok = (_in_band(l2_order, L2_ORDER_BAND)
           and _in_band(h1_order, H1_ORDER_BAND)
           and _in_band(n_ratio, N_RATIO_BAND))
@@ -302,6 +302,15 @@ def cmd_convergence(args: argparse.Namespace) -> int:
           f"(band {list(H1_ORDER_BAND)}), N ratio = {n_ratio:.2f} "
           f"(band {list(N_RATIO_BAND)}) -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity``), 1 on a
+    platform without an affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return 1
 
 
 # A worker's (fn, items) of _map_rows, set by the pool's initializer in
@@ -328,7 +337,8 @@ def _map_rows(fn, items: list) -> list:
     initializer arguments, and are never pickled; only the item indices and
     the results are.  The pool is shut down, its queued items cancelled and
     its workers joined before this returns or raises; a worker that dies
-    ends as a ``ChildProcessError``.
+    ends as a ``ChildProcessError``, and so does a pool that cannot start
+    its manager thread or a worker, once the workers it forked are ended.
     """
     workers = min(len(items), _usable_cpus())
     if workers > 1:
@@ -340,14 +350,26 @@ def _map_rows(fn, items: list) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     # fork, not spawn: a worker starts with numpy and scipy imported and
-    # with the caller's module state; no thread of this command runs now,
-    # as _map_blocks joins its threads before it returns
+    # with the caller's module state
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_set_worker_rows,
                                initargs=(fn, items))
     try:
-        return list(pool.map(_run_worker_row, range(len(items))))
+        # the first submission forks the workers, then starts the pool's
+        # manager thread
+        results = pool.map(_run_worker_row, range(len(items)))
+    except (RuntimeError, OSError) as exc:
+        # Without its manager thread the pool cannot shut down (it would
+        # join the thread that never started), and its forked workers
+        # would wait for rows until the end of this process: end them.
+        for worker in pool._processes.values():
+            worker.terminate()
+            worker.join()
+        raise ChildProcessError(f"the worker pool could not start "
+                                f"({type(exc).__name__}: {exc})") from exc
+    try:
+        return list(results)
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a worker process died: {exc}") from exc
     finally:

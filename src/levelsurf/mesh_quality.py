@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .surface_extract import SurfaceMesh
-from .tet_grid import _map_blocks, corner_cross_dot, norm3
+from .tet_grid import corner_cross_dot, norm3
 
 __all__ = [
     "QualityReport",
@@ -28,9 +28,7 @@ ANGLE_BINS = 36  # 5-degree histogram bins covering (0, 180)
 
 # Triangles per block of quality_report.  A triangle here takes about a
 # quarter of the temporaries of one in the error quadrature, so four times
-# surface_fem's _QUAD_BLOCK holds about as much; at a quarter of this
-# block the numpy calls are too short to gain from a second thread, whose
-# wait for the GIL then costs more than it saves.
+# surface_fem's _QUAD_BLOCK holds about as much.
 _REPORT_BLOCK = 16384
 
 
@@ -77,9 +75,7 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
     at barycenters) need a ``spec`` with a signed-distance phi and a
     ``normal``; a spec without ``normal``, None included, leaves them NaN
     with ``assumptions_checked`` False.  The triangles run in blocks of
-    ``_REPORT_BLOCK``, on one thread per usable CPU where the surface has
-    two full blocks or more, so ``spec.evaluate`` and ``spec.normal`` may
-    be called from several threads at once.
+    ``_REPORT_BLOCK``, so the temporaries do not grow with the surface.
     """
     if surface.n_triangles == 0:
         return QualityReport(
@@ -106,8 +102,9 @@ def quality_report(surface: SurfaceMesh, spec=None) -> QualityReport:
         return stats
 
     # maxima, minima and counts per block combine exactly, so the report
-    # does not depend on the blocking
-    blocks = _map_blocks(block_stats, surface.n_triangles, _REPORT_BLOCK)
+    # does not depend on the block size
+    blocks = [block_stats(slice(start, start + _REPORT_BLOCK))
+              for start in range(0, surface.n_triangles, _REPORT_BLOCK)]
     ang_max, ang_min, below, hist, *residuals = map(np.array, zip(*blocks))
     report = QualityReport(
         n_vertices=surface.n_vertices,

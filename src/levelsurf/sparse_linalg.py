@@ -115,6 +115,8 @@ def _as_csr(A) -> sp.csr_matrix:
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
+    if not np.isfinite(A.data).all():
+        raise ValueError("matrix has a non-finite entry")
     return A
 
 
@@ -184,13 +186,16 @@ def pcg(A, b, tol: float = 1e-8, precond: str = "none"):
         returned x, and whether the tolerance was met.  Non-convergence is
         reported in the stats, not raised; a breakdown (curvature
         p.Ap <= 0, or r.z < 0 from an indefinite preconditioner) raises
-        LinAlgError naming which.
+        LinAlgError naming which.  A NaN or infinite entry of A or b
+        raises ValueError before the first step.
     """
     A = _as_csr(A)
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {A.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("rhs has a non-finite entry")
     apply_M = _preconditioner(A, precond)
     e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
     b = np.ldexp(b, -e)

@@ -14,10 +14,7 @@ take a function u of ambient points, on a curved surface the extension
 evaluated with a 6-point degree-4 triangle quadrature, the reference
 gradient ``u.gradient`` projected onto each triangle's plane.  Both
 error norms run their quadrature over blocks of ``_QUAD_BLOCK``
-triangles, so their temporaries do not grow with the surface, and on
-one thread per usable CPU where the surface has two full blocks or more;
-``u.value`` and ``u.gradient`` are then called from several threads at
-once.
+triangles, so their temporaries do not grow with the surface.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import scipy.sparse as sp
 from .level_set import SurfaceFunction
 from .sparse_linalg import CondEstimate, _lanczos, _norm, eig_extreme, pcg
 from .surface_extract import SurfaceMesh
-from .tet_grid import _map_blocks, corner_cross_dot
+from .tet_grid import corner_cross_dot
 
 __all__ = [
     "interpolate",
@@ -85,25 +82,21 @@ def _quadrature_norm(surface: SurfaceMesh, coeffs: np.ndarray,
     """sqrt(sum over triangles T of |T| * integrand on T), block by block.
 
     ``integrand(p, n, two_area, c)`` gets the corners, normals, twice the
-    areas and nodal coefficients (B, 3) of one slice of at most
+    areas and nodal coefficients (B, 3) of one block of at most
     ``_QUAD_BLOCK`` triangles and returns the quadrature-weighted mean of
-    the squared error per triangle, (B,).  The slices run through
-    :func:`~levelsurf.tet_grid._map_blocks`, on threads where the surface
-    has two full blocks or more; each fills its part of one per-triangle
-    array, summed once at the end, so the norm does not depend on the
-    slicing.  Zero-area triangles raise.
+    the squared error per triangle, (B,).  Each block fills its slice of
+    one per-triangle array, summed once at the end, so the norm does not
+    depend on the block size.  Zero-area triangles raise.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (surface.n_vertices,):
         raise ValueError("coefficient vector does not match the surface")
     per_tri = np.empty(surface.n_triangles)
-
-    def fill(rows):
+    for start in range(0, surface.n_triangles, _QUAD_BLOCK):
+        rows = slice(start, start + _QUAD_BLOCK)
         p, n, two_area = surface.tri_geometry(nondegenerate=True, rows=rows)
         c = coeffs[surface.triangles[rows]]
         per_tri[rows] = integrand(p, n, two_area, c) * (0.5 * two_area)
-
-    _map_blocks(fill, surface.n_triangles, _QUAD_BLOCK)
     return float(np.sqrt(per_tri.sum()))
 
 

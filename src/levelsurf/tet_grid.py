@@ -12,17 +12,13 @@ package (tet faces, surface triangles, cut quads, the cotangents of the
 stiffness matrix) comes from one kernel, :func:`corner_cross_dot`, and
 every Euclidean length of a 3-vector (edge lengths, triangle areas, unit
 normals, distances to the sphere center) from another, :func:`norm3`.
-Both live here because every other module can import this one, as do
-:func:`_usable_cpus`, the one CPU count of every worker pool and thread
-set, and :func:`_map_blocks`, which runs a per-triangle block loop on
-those CPUs.
+Both live here because every other module can import this one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +111,10 @@ class TetMesh:
     nodes : (N, 3) float array
         Node coordinates, lexicographic order (x fastest, then y, then z).
     tets : (M, 4) int array
-        Node indices per tetrahedron, positively oriented.
+        Node indices per tetrahedron.  A lattice's tets are positively
+        oriented; an explicit mesh may hold either orientation, and
+        :func:`~levelsurf.surface_extract.extract_surface` reads it per
+        cut tet.
     h : float
         Grid spacing (cube edge length).
     box : BoxDomain
@@ -268,47 +267,6 @@ def _pointwise(fn, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"a pointwise function of {len(points)} points "
                          f"returned shape {values.shape}")
     return values
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (``os.sched_getaffinity``), 1 on a
-    platform without an affinity mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity mask on this platform
-        return 1
-
-
-def _map_blocks(fn, n: int, block: int) -> list:
-    """``fn(rows)`` for consecutive slices ``rows`` covering range(n); the
-    results in slice order.
-
-    A loop of fewer than two full blocks runs here, one block per slice,
-    and imports nothing.  A longer one runs on min(usable CPUs, n // block)
-    threads, each slice ``block // threads`` long, so the slices in flight
-    hold one block's temporaries; inside a multiprocessing child, whose
-    parent has given the other CPUs to its siblings, it runs here too.
-    ``fn`` may run on several threads at once, each on its own slice; the
-    threads pay where it spends its time in numpy calls that release the
-    GIL.  An error from ``fn`` is raised for the first failing slice,
-    and every thread is joined before this returns or raises, so none is
-    alive when a caller forks.
-    """
-    threads = 1
-    if n >= 2 * block:
-        import multiprocessing
-        if multiprocessing.parent_process() is None:
-            threads = min(_usable_cpus(), n // block)
-    step = max(block // threads, 1)
-    slices = [slice(start, start + step) for start in range(0, n, step)]
-    if threads == 1:
-        return [fn(rows) for rows in slices]
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(threads)
-    try:
-        return list(pool.map(fn, slices))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def build_uniform_mesh(box: BoxDomain, h: float) -> TetMesh:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
@@ -582,15 +583,18 @@ def test_massbound(tmp_path, capsys):
 # function to act from inside a row, in whichever process runs it.
 ROW_RUNS = {
     "conditioning": ["conditioning", "--h", "0.5", "--zc-list", "0.03,0"],
+    "convergence": ["convergence", "--h-list", "0.5,0.25,0.125"],
     "extract": ["extract", "--h", "0.125", "--zc", "0.03",
                 "--export", "obj,vtk,mm"],
     "refmatrix": ["refmatrix", "--blocks", "12", "--block-size", "12"],
 }
 # extract's assemble_mass runs in its "matrices" part alone
-ROW_CALLS = {"conditioning": "_sphere_surface", "extract": "assemble_mass",
+ROW_CALLS = {"conditioning": "_sphere_surface",
+             "convergence": "_sphere_surface", "extract": "assemble_mass",
              "refmatrix": "pcg"}
 # the file the command's own process writes once its rows are back
-ROW_CSV = {"conditioning": "conditioning.csv", "extract": "quality.csv",
+ROW_CSV = {"conditioning": "conditioning.csv",
+           "convergence": "convergence.csv", "extract": "quality.csv",
            "refmatrix": "refmatrix.csv"}
 
 
@@ -610,13 +614,14 @@ def test_rows_reach_workers_through_the_fork(monkeypatch):
     # a row returns data and only this process writes: one file
     (["conditioning", "--h", "0.125", "--zc-list", "0.03,0.0005,0"],
      ["conditioning.csv"]),
+    (ROW_RUNS["convergence"], ["convergence.csv"]),
     # extract's matrices part writes its two files in its worker
     (ROW_RUNS["extract"],
      ["mass_scaled.mtx", "quality.csv", "quality.json",
       "stiffness_scaled.mtx", "surface.obj", "surface.vtk"]),
     (ROW_RUNS["refmatrix"],
      ["refmatrix.csv", "refmatrix.json"]),
-], ids=["conditioning", "extract", "refmatrix"])
+], ids=["conditioning", "convergence", "extract", "refmatrix"])
 def test_outputs_same_in_process_and_in_workers(argv, files, tmp_path,
                                                 monkeypatch):
     name = ROW_CALLS[argv[0]]
@@ -667,10 +672,12 @@ def _milu0_zero_pivot(monkeypatch):
      "the level set does not cut the mesh (empty surface)"),
     (["conditioning", "--h", "0.5", "--zc-list", "0,0.03", "--seed", "-1"],
      None, "expected non-negative integer"),
+    (["convergence", "--h-list", "0.5,0.3,0.25"], None,
+     "h=0.3 does not divide the box extents (4.0, 4.0, 4.0)"),
     (ROW_RUNS["refmatrix"], _milu0_zero_pivot,
      "ILU(0) breakdown: zero pivot in row 7"),
 ], ids=["conditioning-empty-surface", "conditioning-negative-seed",
-        "refmatrix-zero-pivot"])
+        "convergence-h-does-not-divide-box", "refmatrix-zero-pivot"])
 def test_row_error_exits_1(argv, fake, message, tmp_path, capsys,
                            monkeypatch):
     # an error raised in a worker ends as on the in-process path
@@ -707,6 +714,58 @@ def test_dead_worker_exits_1(command, tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# refmatrix on 2 CPUs in a process that can start no thread, as when it
+# has no pid left for one: the pool forks its workers, then cannot start
+# its manager thread.
+_POOL_CANNOT_START = """
+import os, sys, threading
+from levelsurf import cli
+
+def refuse(self):
+    raise RuntimeError("can't start new thread")
+
+threading.Thread.start = refuse
+os.sched_getaffinity = lambda pid: {0, 1}
+print(cli.main(["refmatrix", "--blocks", "8", "--block-size", "8",
+                "--out", sys.argv[1]]))
+"""
+
+
+def _child_env(**variables):
+    """This environment with ``variables`` set and the package's source
+    first on PYTHONPATH, for a child Python process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_pool_that_cannot_start_exits_1(tmp_path):
+    # Workers left waiting for rows would keep the run from exiting, so it
+    # runs in a session of its own, killed on timeout: such a hang fails
+    # here instead of hanging the suite.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_CANNOT_START, str(tmp_path / "o")],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run did not exit within 60 s")
+    # no process of its session outlives it
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    else:
+        pytest.fail("a worker outlived the run")
+    assert (proc.returncode, out) == (0, "1\n")
+    assert err == ("error: the worker pool could not start "
+                   "(RuntimeError: can't start new thread)\n")
+    assert not (tmp_path / "o" / "refmatrix.csv").exists()
+
+
 def _refuse_threads(monkeypatch):
     def refuse(self):
         raise AssertionError(f"thread {self.name!r} started")
@@ -722,9 +781,8 @@ def _refuse_threads(monkeypatch):
     ["massbound", "--h-list", "0.5,0.25"],
 ], ids=lambda argv: argv[0])
 def test_one_cpu_starts_no_thread_or_worker(argv, tmp_path, monkeypatch):
-    # Each loop here has two full blocks or more, and each command more
-    # than one row, so on two CPUs every one would start threads or a pool
-    # (whose manager is a thread).
+    # Every command here but massbound has more than one row, so on two
+    # CPUs it would start a pool, whose manager is a thread.
     _use_cpus(monkeypatch, 1)
     _refuse_threads(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
@@ -732,15 +790,13 @@ def test_one_cpu_starts_no_thread_or_worker(argv, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["extract", "--h", "0.5"],
-    ["convergence", "--h-list", "0.5,0.25,0.125"],
     ["conditioning", "--h", "0.5", "--zc-list", "0"],
     ["massbound", "--h-list", "0.5,0.25"],
 ], ids=lambda argv: argv[0])
 def test_small_runs_start_no_thread(argv, tmp_path, monkeypatch):
-    # The loops of these runs hold fewer than two full blocks (7032
-    # triangles at h = 1/8) and run in this process on any CPU count, so
-    # a run of this size starts no thread: each thread's malloc arena
-    # would raise this process's peak memory for no gain in time.
+    # A run of one row (extract without mm has one part) or none runs in
+    # this process on any CPU count: a pool would cost its start-up and a
+    # worker's memory for no gain in time.
     _use_cpus(monkeypatch, 2)
     _refuse_threads(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
@@ -768,16 +824,13 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # add up in an order set by the thread count.  n = 14 400 (refmatrix)
     # and about 14 300 (the h = 1/16 sphere, also the finest massbound level
     # with its Jacobi-PCG solves) are above OpenBLAS's threading threshold.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     commands = [["refmatrix"],
                 ["conditioning", "--h", "0.0625", "--zc-list", "0.03,0"],
                 ["massbound", "--h-list", "0.25,0.125,0.0625"]]
     outputs = {}
     for threads in ("1", "3"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env(OPENBLAS_NUM_THREADS=threads,
+                         OMP_NUM_THREADS=threads)
         for argv in commands:
             out = tmp_path / f"{argv[0]}-{threads}"
             subprocess.run([sys.executable, "-m", "levelsurf", *argv,

@@ -8,6 +8,7 @@ from levelsurf.level_set import (
     interpolate_nodal,
     snap_small_values,
 )
+from levelsurf import mesh_quality
 from levelsurf.mesh_quality import (
     ANGLE_BINS,
     _corner_angles,
@@ -89,6 +90,28 @@ def test_degenerate_triangle_rejected():
     surf = SurfaceMesh(v, np.array([[0, 1, 2], [0, 3, 0]]))
     with pytest.raises(ValueError, match="degenerate triangle at index 1"):
         quality_report(surf, SphereLevelSet())
+
+
+# h = 1/4 sphere at z_c = 0.03, F = 1668 triangles: F = 3 blocks exactly,
+# 3 blocks and a remainder, and 238 blocks of an odd size plus 2.
+@pytest.mark.parametrize("block", [556, 500, 7])
+def test_blocked_report_matches_one_block(sphere_h4_shifted, block,
+                                          monkeypatch):
+    spec, surf = sphere_h4_shifted
+    assert surf.n_triangles == 1668
+    whole = quality_report(surf, spec)
+    assert surf.n_triangles <= mesh_quality._REPORT_BLOCK
+    monkeypatch.setattr(mesh_quality, "_REPORT_BLOCK", block)
+    blocked = quality_report(surf, spec)
+    assert blocked.assumptions_checked
+    for name, value in whole.as_dict().items():
+        assert getattr(blocked, name) == value, name
+    # a zero-area triangle in a later block is named by its surface index
+    bad = surf.triangles.copy()
+    bad[1000, 2] = bad[1000, 1]
+    with pytest.raises(ValueError, match="^degenerate triangle at index "
+                                         "1000$"):
+        quality_report(SurfaceMesh(surf.vertices, bad), spec)
 
 
 def test_quality_report_sphere(sphere_h8):

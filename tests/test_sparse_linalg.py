@@ -272,6 +272,23 @@ def test_pcg_validates_shapes():
         pcg(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
 
 
+@pytest.mark.parametrize("precond", ["none", "jacobi", "ilu0", "milu0"])
+def test_pcg_refuses_non_finite_input(precond):
+    # Unchecked, a NaN or inf in b, or in A under none or jacobi, ran all
+    # n steps to relres nan, and one in A under ilu0 or milu0 ended in
+    # SuperLU's RuntimeError "Factor is exactly singular".
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.ones(4)
+        b[2] = bad
+        with pytest.raises(ValueError, match="^rhs has a non-finite entry$"):
+            pcg(sp.csr_matrix(REF_4x4), b, precond=precond)
+        dense = REF_4x4.copy()
+        dense[0, 1] = dense[1, 0] = bad
+        with pytest.raises(ValueError,
+                           match="^matrix has a non-finite entry$"):
+            pcg(sp.csr_matrix(dense), np.ones(4), precond=precond)
+
+
 def test_pcg_unknown_preconditioner():
     # Only the four names are accepted: no None, no object with .apply.
     class Identity:

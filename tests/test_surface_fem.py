@@ -1,6 +1,3 @@
-import os
-import threading
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,8 +8,7 @@ from levelsurf.level_set import (
     SphereLevelSet,
     product_arctan_function,
 )
-from levelsurf import mesh_quality, sparse_linalg, surface_fem
-from levelsurf.mesh_quality import quality_report
+from levelsurf import sparse_linalg, surface_fem
 from levelsurf.sparse_linalg import eig_extreme
 from levelsurf.surface_extract import SurfaceMesh
 from levelsurf.surface_fem import (
@@ -534,60 +530,6 @@ def test_blocked_errors_match_whole_surface(sphere_h4, u, block, monkeypatch):
     ref_l2, ref_h1 = _whole_surface_errors(u, spec, surf, coeffs)
     assert l2_error(spec.extend(u), surf, coeffs) == ref_l2
     assert h1_semi_error(spec.extend(u), surf, coeffs) == ref_h1
-
-
-class _LoggedSphere:
-    """A sphere spec whose ``evaluate`` and ``normal`` log the threads that
-    call them."""
-
-    def __init__(self, spec, threads):
-        self.spec, self.threads = spec, threads
-
-    def evaluate(self, points):
-        self.threads.add(threading.get_ident())
-        return self.spec.evaluate(points)
-
-    def normal(self, points):
-        self.threads.add(threading.get_ident())
-        return self.spec.normal(points)
-
-
-def _logged(fn, threads):
-    def call(points):
-        threads.add(threading.get_ident())
-        return fn(points)
-    return call
-
-
-# The h = 1/16 sphere has 28 800 triangles: 7 full quadrature blocks, and
-# with the report's block set to the quadrature's, 7 report blocks too.
-# The h = 1/4 sphere, 1656 triangles, is below one block of either.
-@pytest.mark.parametrize("h, threaded", [(0.0625, True), (0.25, False)])
-def test_threads_change_no_result(h, threaded, monkeypatch):
-    spec, surf = sphere_surface(h)
-    assert (surf.n_triangles >= 2 * surface_fem._QUAD_BLOCK) == threaded
-    monkeypatch.setattr(mesh_quality, "_REPORT_BLOCK", surface_fem._QUAD_BLOCK)
-    u = spec.extend(product_arctan_function())
-    coeffs = interpolate(u, surf)
-    results, threads = {}, {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        seen = threads[cpus] = set()
-        logged_u = SurfaceFunction(_logged(u.value, seen),
-                                   _logged(u.gradient, seen))
-        results[cpus] = (
-            l2_error(logged_u, surf, coeffs),
-            h1_semi_error(logged_u, surf, coeffs),
-            # the spec's normal is called in the blocks alone
-            quality_report(surf, _LoggedSphere(spec, seen)).as_dict())
-    assert results[1] == results[2]
-    assert threads[1] == {threading.get_ident()}
-    # on two CPUs every block runs off this thread; the report evaluates
-    # the distance at the vertices once, here
-    off_main = threads[2] - {threading.get_ident()}
-    assert (1 <= len(off_main) <= 2) == threaded
-    assert threading.get_ident() in threads[2]
 
 
 def test_interpolation_orders_loose(sphere_h4, sphere_h8):

@@ -1,8 +1,3 @@
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +6,6 @@ from scipy.optimize import minimize
 from levelsurf.tet_grid import (
     BoxDomain,
     TetMesh,
-    _map_blocks,
     _edge_face_angles,
     _enclosing_ball_diameters,
     _face_angles,
@@ -355,64 +349,3 @@ def test_norm3_bitwise_equals_linalg_norm(shape):
     assert got.shape == want.shape == shape[:-1]
     # NaN payloads included: the bit patterns must match exactly
     npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
-# ---------------------------------------------------------------------------
-# _map_blocks
-
-
-def _use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n", [0, 1, 8, 15, 16, 17, 100])
-def test_map_blocks_covers_the_range_in_order(n, cpus, monkeypatch):
-    # blocks of 8: from 16 on, two threads on two CPUs, each slice 4 long
-    _use_cpus(monkeypatch, cpus)
-    got = _map_blocks(lambda rows: list(range(n))[rows], n, 8)
-    assert sum(got, []) == list(range(n))
-    step = 4 if cpus == 2 and n >= 16 else 8
-    assert [len(g) for g in got[:-1]] == [step] * (len(got) - 1)
-
-
-def test_map_blocks_short_loop_starts_no_thread(monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    seen = _map_blocks(lambda rows: (threading.active_count(),
-                                     threading.get_ident()), 15, 8)
-    assert seen == [(before, threading.get_ident())] * 2
-
-
-def test_map_blocks_runs_on_threads_and_joins_them(monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    idents = set(_map_blocks(lambda rows: threading.get_ident(), 64, 8))
-    assert threading.get_ident() not in idents and 1 <= len(idents) <= 2
-    assert threading.active_count() == before
-
-
-def test_map_blocks_raises_the_first_error_and_joins(monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    before = threading.active_count()
-
-    def fail_from_8(rows):
-        if rows.start >= 8:
-            raise ValueError(f"slice at {rows.start}")
-
-    with pytest.raises(ValueError, match="^slice at 8$"):
-        _map_blocks(fail_from_8, 64, 8)
-    assert threading.active_count() == before
-
-
-def _slice_threads():
-    return set(_map_blocks(lambda rows: threading.get_ident(), 64, 8))
-
-
-def test_map_blocks_in_a_worker_process_runs_on_one_thread(monkeypatch):
-    # a worker's siblings already use the other CPUs
-    _use_cpus(monkeypatch, 2)
-    with ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork")) as pool:
-        idents = pool.submit(_slice_threads).result(timeout=60)
-    assert len(idents) == 1
